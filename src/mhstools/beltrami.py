@@ -244,7 +244,7 @@ def _abc_minimal() -> BeltramiRecord:
         field=w,
         h=F.Const(1.0),
         domain=Domain.ball((0.0, 0.0, 0.0), 1.0),
-        provenance="two-mode ABC flow cos(z)*grad(y) + sin(z)*grad(x)",
+        provenance="single-mode ABC flow (A = 1, B = C = 0): cos(z)*grad(y) + sin(z)*grad(x)",
         name="abc_minimal",
     )
 

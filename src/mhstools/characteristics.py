@@ -4,8 +4,9 @@ Solves a . grad(psi) = c for psi by integrating the characteristic ODE
 dp/dt = a(p) backwards from each target point until it crosses the initial
 surface, then carrying the initial datum forward with the constant source.
 Integration is fixed-step RK4, batched over all targets; the crossing inside
-the bracketing step is located by bisection on the step fraction.  A rerun at
-half step supplies a Richardson error estimate per point.
+the bracketing step is located by a safeguarded Newton iteration on the step
+fraction, run only on the lanes that crossed.  A rerun at half step supplies a
+Richardson error estimate per point.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain, SampleSet
-from .fields import ScalarField, VectorField
+from .fields import Gradient, ScalarField, VectorField
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,22 @@ class CharacteristicResult:
 
 
 _SURFACE_TOL = 1e-13
+_MAX_CROSSING_ITERATIONS = 52
+# A Newton update below this fraction of a step moves the hit time by far less
+# than the RK4 truncation error (it is scipy brentq's default xtol).  Roundoff
+# in the surface value resolves the fraction only to ~1e-13 at h = 1e-3, so a
+# tighter tolerance would leave lanes bouncing until the iteration cap.
+_FRAC_TOL = 2e-12
+
+# per-lane outcome codes; `_MESSAGES[code]` is the failure message
+_OK, _LEFT_DOMAIN, _EVAL_FAILED, _BUDGET, _DATA_FAILED = range(5)
+_MESSAGES = (
+    "",
+    "characteristic left the domain",
+    "evaluation failed along the characteristic",
+    "step budget exhausted before reaching the initial surface",
+    "initial data evaluation failed",
+)
 
 
 def _rk4(f, p: np.ndarray, h) -> np.ndarray:
@@ -62,11 +79,12 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, h: float, max_time: fl
 
     Each target is integrated both backwards and forwards (the surface may
     lie on either side); the first crossing wins.  Returns hit points, the
-    signed flow time from the hit point to the target, an ok mask and
-    per-point failure messages.
+    signed flow time from the hit point to the target, an ok mask and a
+    per-point outcome code (`_OK` where ok).
     """
     a = prob.advecting
     surf = prob.initial.surface
+    gsurf = Gradient(surf)
     n = pts.shape[0]
 
     # lanes 0..n-1 flow backwards (dp/dtau = -a), lanes n..2n-1 forwards
@@ -81,7 +99,7 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, h: float, max_time: fl
     hit_t = np.full(2 * n, np.inf)
     done = np.zeros(2 * n, dtype=bool)
     failed = np.zeros(2 * n, dtype=bool)
-    msg = [""] * (2 * n)
+    reason = np.full(2 * n, _OK, dtype=np.int8)
 
     with np.errstate(all="ignore"):
         s = surf.values(p)
@@ -106,8 +124,7 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, h: float, max_time: fl
                 out = idx[~inside]
                 if out.size:
                     failed[out] = True
-                    for i in out:
-                        msg[i] = "characteristic left the domain"
+                    reason[out] = _LEFT_DOMAIN
                     idx = idx[inside]
                     pa = p[idx]
                     if idx.size == 0:
@@ -116,15 +133,13 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, h: float, max_time: fl
             p_new = _rk4(f, pa, hrow)
             s_new = surf.values(p_new)
             bad = ~np.isfinite(p_new).all(axis=1) | ~np.isfinite(s_new)
-            if bad.any():
-                fb = idx[bad]
-                failed[fb] = True
-                for i in fb:
-                    msg[i] = "evaluation failed along the characteristic"
+            failed[idx[bad]] = True
+            reason[idx[bad]] = _EVAL_FAILED
             crossed = (s[idx] * s_new <= 0.0) & ~bad
             if crossed.any():
                 ci = idx[crossed]
-                frac = _bisect_fraction(f, surf, p[ci], s[ci], sign[ci] * h)
+                frac = _crossing_fraction(f, surf, gsurf, p[ci], s[ci], s_new[crossed],
+                                          sign[ci] * h)
                 hit_p[ci] = _rk4(f, p[ci], sign[ci] * h * frac)
                 hit_t[ci] = t[ci] + h * frac
                 done[ci] = True
@@ -134,41 +149,73 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, h: float, max_time: fl
             s[ki] = s_new[keep]
             t[ki] += h
 
-    # merge the two directions: earliest crossing wins
-    out_p = np.zeros((n, 3))
-    out_t = np.zeros(n)
-    ok = np.zeros(n, dtype=bool)
-    out_msg = [""] * n
-    for i in range(n):
-        cand = []
-        if done[i]:
-            cand.append((hit_t[i], hit_p[i], hit_t[i]))  # backward: target ahead of hit
-        if done[n + i]:
-            cand.append((hit_t[n + i], hit_p[n + i], -hit_t[n + i]))
-        if cand:
-            cand.sort(key=lambda c: c[0])
-            _, out_p[i], out_t[i] = cand[0]
-            ok[i] = True
-        else:
-            out_msg[i] = (
-                msg[i]
-                or msg[n + i]
-                or "step budget exhausted before reaching the initial surface"
-            )
-    return out_p, out_t, ok, out_msg
+    # merge the two directions: earliest crossing wins, the backward one on ties
+    back, fwd = np.arange(n), np.arange(n, 2 * n)
+    ok = done[back] | done[fwd]
+    use_fwd = done[fwd] & ~(done[back] & (hit_t[back] <= hit_t[fwd]))
+    out_p = np.where(use_fwd[:, None], hit_p[fwd], hit_p[back])
+    # backward: the target lies ahead of the hit point
+    out_t = np.where(use_fwd, -hit_t[fwd], np.where(ok, hit_t[back], 0.0))
+    code = np.where(reason[back] != _OK, reason[back], reason[fwd])
+    code = np.where(ok, _OK, np.where(code != _OK, code, _BUDGET))
+    return out_p, out_t, ok, code
 
 
-def _bisect_fraction(f, surf, p0: np.ndarray, s0: np.ndarray, h: float) -> np.ndarray:
-    """Per-row step fraction in (0, 1] at which the surface is crossed."""
-    lo = np.zeros(p0.shape[0])
-    hi = np.ones(p0.shape[0])
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        sm = surf.values(_rk4(f, p0, h * mid))
-        left = s0 * sm > 0.0
-        lo[left] = mid[left]
-        hi[~left] = mid[~left]
-    return 0.5 * (lo + hi)
+def _crossing_fraction(f, surf, gsurf, p0: np.ndarray, s0: np.ndarray, s1: np.ndarray,
+                       h: np.ndarray) -> np.ndarray:
+    """Per-row step fraction in (0, 1] at which the surface is crossed.
+
+    Safeguarded Newton iteration on s(frac) = surface(rk4(p0, h frac)), with
+    d s/d frac = h a(p) . grad s(p), kept inside the bisection bracket
+    [lo, hi] as in Numerical Recipes' rtsafe: a step that leaves the bracket,
+    is not finite, or does not halve the step before last is replaced by the
+    midpoint.  It starts from the secant guess and retires a lane once s == 0,
+    once the bracket collapses, or once the update falls to roundoff
+    (`_FRAC_TOL`).  A lane still running after `_MAX_CROSSING_ITERATIONS`
+    keeps the evaluated fraction of least |s|.
+    """
+    m = p0.shape[0]
+    lo = np.zeros(m)
+    hi = np.ones(m)
+    frac = s0 / (s0 - s1)
+    frac = np.where(np.isfinite(frac) & (frac > 0.0) & (frac <= 1.0), frac, 0.5)
+    dx = np.ones(m)
+    dxold = np.ones(m)
+    best = np.ones(m)
+    sbest = np.abs(s1)
+    live = np.arange(m)
+    for _ in range(_MAX_CROSSING_ITERATIONS):
+        fl = frac[live]
+        hl = h[live]
+        p = _rk4(f, p0[live], hl * fl)
+        s = surf.values(p)
+        ds = hl * np.einsum("ij,ij->i", f(p), gsurf.values(p))
+        closer = np.abs(s) < sbest[live]
+        best[live[closer]] = fl[closer]
+        sbest[live[closer]] = np.abs(s[closer])
+        left = s0[live] * s > 0.0
+        lo[live] = np.where(left, fl, lo[live])
+        hi[live] = np.where(left, hi[live], fl)
+        lol, hil = lo[live], hi[live]
+        newton = fl - s / ds
+        bisect = (
+            ~np.isfinite(newton)
+            | (newton <= lol)
+            | (newton >= hil)
+            | (np.abs(2.0 * s) > np.abs(dxold[live] * ds))
+        )
+        mid = 0.5 * (lol + hil)
+        new = np.where(bisect, mid, newton)
+        dxold[live] = dx[live]
+        dx[live] = np.abs(new - fl)
+        zero = s == 0.0
+        frac[live] = np.where(zero, fl, new)
+        collapsed = bisect & ((mid <= lol) | (mid >= hil))
+        live = live[~(zero | collapsed | (dx[live] <= _FRAC_TOL))]
+        if live.size == 0:
+            return frac
+    frac[live] = best[live]
+    return frac
 
 
 def solve_characteristics(
@@ -182,8 +229,8 @@ def solve_characteristics(
     if pts.ndim == 1:
         pts = pts[None, :]
 
-    hit1, t1, ok1, msg1 = _trace(prob, pts, step, max_time)
-    hit2, t2, ok2, msg2 = _trace(prob, pts, step / 2.0, max_time)
+    hit1, t1, ok1, code1 = _trace(prob, pts, step, max_time)
+    hit2, t2, ok2, code2 = _trace(prob, pts, step / 2.0, max_time)
     with np.errstate(all="ignore"):
         d1 = prob.initial.data.values(hit1)
         d2 = prob.initial.data.values(hit2)
@@ -191,14 +238,13 @@ def solve_characteristics(
     v2 = d2 + prob.source * t2
     ok = ok1 & ok2 & np.isfinite(v1) & np.isfinite(v2)
     err = np.abs(v1 - v2) / 15.0
+    code = np.where(code1 != _OK, code1, code2)
+    code = np.where(ok, _OK, np.where(code != _OK, code, _DATA_FAILED))
 
-    out = []
-    for i in range(pts.shape[0]):
-        if ok[i]:
-            out.append(CharacteristicResult(pts[i].copy(), float(v2[i]), float(err[i]), True))
-        else:
-            message = msg1[i] or msg2[i] or "initial data evaluation failed"
-            out.append(
-                CharacteristicResult(pts[i].copy(), float("nan"), float("nan"), False, message)
-            )
-    return out
+    return [
+        CharacteristicResult(pts[i].copy(), float(v2[i]), float(err[i]), True)
+        if ok[i]
+        else CharacteristicResult(pts[i].copy(), float("nan"), float("nan"), False,
+                                  _MESSAGES[code[i]])
+        for i in range(pts.shape[0])
+    ]

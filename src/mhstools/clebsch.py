@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as F
+from .beltrami import ConstructionError
 from .checks import residual_report
 from .domains import Domain, SampleSet, sample
 from .fields import (
@@ -40,12 +41,6 @@ DIV_TOL = 1e-9
 CONSTRAINT_TOL = 1e-8
 HARMONIC_TOL = 1e-9
 DEFAULT_SAMPLES = 1000
-
-
-class ConstructionError(ValueError):
-    def __init__(self, message: str, report: ResidualReport | None = None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Expression trees for scalar and vector fields on R^3.
 
-Trees are immutable and evaluate to second-order jets (value, gradient,
-Hessian) at batches of points.  Differentiation is exact forward-mode through
-the tree; structural nodes that consume a derivative order (gradient, curl,
-divergence, Lie derivative) obtain third-order information, when a caller
-requests full jets of their output, by central finite differences of exact
-jet evaluations.
+Trees are immutable and evaluate to jets (value, gradient, Hessian) at
+batches of points, up to the requested order: an order-0 evaluation computes
+values only, order 1 adds gradients and only order 2 computes Hessians; the
+entries above the order are absent (None).  Differentiation is exact
+forward-mode through the tree; structural nodes that consume a derivative
+order (gradient, curl, divergence, Lie derivative) obtain third-order
+information, when a caller requests full jets of their output, by central
+finite differences of exact jet evaluations.
 
 Domain violations (log of a non-positive argument, division by zero, ...) are
 recorded per sample point and never abort a batched evaluation; single-point
@@ -159,7 +161,7 @@ class Const(ScalarField):
     c: float
 
     def jet(self, pts, order=2, ctx=None):
-        return Jet2.constant(np.asarray(self.c), n=pts.shape[0])
+        return Jet2.constant(np.asarray(self.c), n=pts.shape[0], order=order)
 
     def render(self):
         return _num(self.c)
@@ -170,7 +172,7 @@ class Coord(ScalarField):
     axis: int
 
     def jet(self, pts, order=2, ctx=None):
-        return Jet2.coordinate(pts, self.axis)
+        return Jet2.coordinate(pts, self.axis, order)
 
     def render(self):
         return _AXES[self.axis]
@@ -357,7 +359,7 @@ class Divergence(ScalarField):
         child = self.w.jets(pts, min(order + 1, 2), ctx)
         j = child[0].partial(0) + child[1].partial(1) + child[2].partial(2)
         if order >= 2:
-            j.hess[...] = _fd_scalar_hessian(self, pts, ctx)
+            j.hess = _fd_scalar_hessian(self, pts, ctx)
         return j
 
     def render(self):
@@ -370,9 +372,9 @@ class Compose1(ScalarField):
 
     `gexpr` is an expression over a single Placeholder `var`; the chain rule
     is applied exactly by evaluating `gexpr` on jets seeded along the first
-    axis.  With deriv=1 the node evaluates the derivative of g at u; its own
-    second derivatives then require g''' and fall back to univariate finite
-    differences.
+    axis, to the order the caller asks for.  With deriv=1 the node evaluates
+    the derivative of g at u; its own second derivatives then require g'''
+    and fall back to univariate finite differences.
     """
 
     gexpr: ScalarField
@@ -386,27 +388,25 @@ class Compose1(ScalarField):
         return pts
 
     def jet(self, pts, order=2, ctx=None):
+        if self.deriv not in (0, 1):
+            raise ValueError("deriv must be 0 or 1")
         ju = self.inner.jet(pts, order, ctx)
         gx = substitute(self.gexpr, {self.var: X})
-        tpts = self._seed(ju.value)
-        jt = gx.jet(tpts, 2, ctx)
-        g0, g1, g2 = jt.value, jt.grad[:, 0], jt.hess[:, 0]
-        if self.deriv == 0:
-            value, d1, d2 = g0, g1, g2
-        elif self.deriv == 1:
-            value, d1 = g1, g2
-            if order >= 2:
-                # third derivative of g by finite differences of exact g''
-                offsets, denom = _fd_weights(FD_STEP)
-                acc = np.zeros_like(g2)
-                for off, wgt in offsets:
-                    acc += wgt * gx.jet(self._seed(ju.value + off), 2, ctx).hess[:, 0]
-                d2 = acc / denom
-            else:
-                d2 = np.zeros_like(g2)
-        else:
-            raise ValueError("deriv must be 0 or 1")
-        return ju.chain(value, d1, d2)
+        jt = gx.jet(self._seed(ju.value), min(order + self.deriv, 2), ctx)
+        # g, g', g'' along the seeded axis, as far as the order requires
+        g = [jt.value]
+        if jt.grad is not None:
+            g.append(jt.grad[:, 0])
+        if jt.hess is not None:
+            g.append(jt.hess[:, 0])
+        if self.deriv == 1 and order >= 2:
+            # third derivative of g by finite differences of exact g''
+            offsets, denom = _fd_weights(FD_STEP)
+            acc = np.zeros_like(g[2])
+            for off, wgt in offsets:
+                acc += wgt * gx.jet(self._seed(ju.value + off), 2, ctx).hess[:, 0]
+            g.append(acc / denom)
+        return ju.chain(*g[self.deriv:])
 
     def render(self):
         base = f"[{self.gexpr.render()}]"
@@ -504,7 +504,7 @@ class VectorField:
         """Component jets at (N, 3) points.
 
         Entries up to `order` (0: values, 1: +gradients, 2: +Hessians) are
-        meaningful; higher entries may be zero-filled.
+        computed; higher entries are absent (None).
         """
         raise NotImplementedError
 
@@ -745,15 +745,15 @@ class LieEuclidean(_Consuming):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         n = pts.shape[0]
-        # generator components as exact jets (linear fields)
+        # generator components as exact jets (linear fields) of the order asked
         xi = []
         bmat = np.array(
             [[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]]
         )
         xivals = a[None, :] + np.cross(np.broadcast_to(b, (n, 3)), pts)
         for i in range(3):
-            g = np.tile(bmat[i], (n, 1))
-            xi.append(Jet2(xivals[:, i].copy(), g, np.zeros((n, 6))))
+            g = np.tile(bmat[i], (n, 1)) if order >= 1 else None
+            xi.append(Jet2(xivals[:, i].copy(), g))
         out = []
         for k in range(3):
             acc = xi[0] * jw[k].partial(0)

@@ -8,7 +8,7 @@ from mhstools.characteristics import (
     solve_characteristics,
 )
 from mhstools.domains import Domain, sample
-from mhstools.fields import log, vector, y, z
+from mhstools.fields import log, vector, x, y, z
 
 # characteristics of  -y psi_y + psi_z = -1  (the constraint with phi = z)
 PROB_TEMPLATE = dict(
@@ -108,3 +108,44 @@ def test_domain_escape_flags_point():
     r = solve_characteristics(prob, np.array([[0.0, 0.0, 0.0]]), max_time=10.0)[0]
     assert not r.ok
     assert "domain" in r.message
+
+
+def test_degenerate_crossing_is_exact():
+    # the surface's gradient vanishes on the crossing, so a single Newton (or
+    # Henon) step from the bracketing step is only first-order accurate there
+    prob = CharacteristicsProblem(
+        advecting=vector(0.0, 0.0, 1.0),
+        source=-1.0,
+        initial=InitialCurve(surface=(z - 0.5) ** 3, data=0.0 * y),
+        domain=Domain.box((-2, -2, -2), (2, 2, 3)),
+    )
+    targets = sample(Domain.box((-1, -1, -0.5), (1, 1, 1.5)), 100, generator="random", seed=3)
+    results = solve_characteristics(prob, targets)
+    assert all(r.ok for r in results)
+    vals = np.array([r.value for r in results])
+    assert np.abs(vals - (0.5 - targets.points[:, 2])).max() < 1e-12
+
+
+def test_mixed_outcomes_in_one_batch():
+    # each lane keeps its own outcome: crossings in both directions, a start
+    # outside the domain, a failing evaluation and an exhausted budget
+    prob = CharacteristicsProblem(
+        advecting=vector(0.0, 0.0, 1.0 + 0.0 * log(x + 1.0)),
+        source=-1.0,
+        initial=InitialCurve(surface=z, data=1.0 * y),
+        domain=Domain.box((-2, -2, -3), (2, 2, 5)),
+    )
+    pts = np.array([
+        [0.0, 0.3, 0.5],  # crosses flowing backwards
+        [0.0, 0.3, -0.5],  # crosses flowing forwards
+        [0.0, 0.0, 5.5],  # starts outside the domain
+        [-1.5, 0.0, 0.5],  # log(x + 1) fails at once
+        [0.0, 0.3, 2.5],  # needs more than max_time
+    ])
+    results = solve_characteristics(prob, pts, max_time=1.0)
+    assert [r.ok for r in results] == [True, True, False, False, False]
+    np.testing.assert_allclose([r.value for r in results[:2]], [-0.2, 0.8], atol=1e-12)
+    assert "domain" in results[2].message
+    assert "evaluation failed" in results[3].message
+    assert "budget" in results[4].message
+    assert all(np.isnan(r.value) for r in results[2:])

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import mhstools
+from mhstools import beltrami, clebsch
 from mhstools.clebsch import (
     CATALOG_NAMES,
     FAMILY_PARAMS,
@@ -77,6 +79,11 @@ class TestConstructor:
         with pytest.raises(ConstructionError) as ei:
             make_clebsch(z**2, -z, OFFSET_BOX)
         assert ei.value.report is not None
+
+    def test_package_error_catches_construction_failure(self):
+        assert clebsch.ConstructionError is beltrami.ConstructionError
+        with pytest.raises(mhstools.ConstructionError):
+            make_clebsch(z**2, -z, OFFSET_BOX)
 
     def test_rejects_constraint_violation(self):
         with pytest.raises(ConstructionError):

@@ -1,8 +1,12 @@
-"""Jet arithmetic against closed forms and finite differences."""
+"""Jet arithmetic against closed forms and finite differences, and
+order-respecting evaluation of random expression trees."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mhstools import fields as F
 from mhstools.jets import Jet2, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
 
 
@@ -100,3 +104,80 @@ def test_partial_extracts_derivative_jet():
     fx = f.partial(0)  # 2xy
     assert fx.value[0] == pytest.approx(2 * 0.4 * -0.2)
     np.testing.assert_allclose(fx.grad[0], [2 * -0.2, 2 * 0.4, 0.0])
+
+
+# -- order-respecting evaluation of random expression trees -------------------
+
+_PTS = np.vstack([
+    np.random.default_rng(1).uniform(-1.5, 1.5, size=(6, 3)),
+    [[0.0, 0.5, -0.3], [0.0, 0.0, 0.0]],  # zeros reach the NaN and inf paths
+])
+_EXPONENTS = (-1.0, 0.0, 1.0, 2.0, 3.0, 0.5, 1.5)
+
+
+def _arith(sub):
+    return st.one_of(
+        st.tuples(st.sampled_from((F.Add, F.Sub, F.Mul, F.Div)), sub, sub)
+        .map(lambda t: t[0](t[1], t[2])),
+        sub.map(F.Neg),
+        st.tuples(sub, st.sampled_from(_EXPONENTS)).map(lambda t: F.Pow(*t)),
+        st.tuples(st.sampled_from((F.exp, F.log, F.sin, F.cos, F.sqrt)), sub)
+        .map(lambda t: t[0](t[1])),
+        st.tuples(sub, sub).map(lambda t: F.atan2(*t)),
+    )
+
+
+_COORDS = st.sampled_from((F.x, F.y, F.z))
+# coordinates fill half the leaves, so most trees vary from point to point
+_LEAVES = st.one_of(
+    _COORDS,
+    _COORDS,
+    st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)).map(F.Const),
+    st.floats(-2, 2, allow_nan=False, allow_subnormal=False).map(F.Const),
+)
+# derivative nodes wrap only trees without derivative nodes, so the
+# finite-difference third derivatives of order 2 nest at most twice
+_PLAIN = st.recursive(_LEAVES, _arith, max_leaves=6)
+_VECTORS = st.one_of(
+    st.tuples(_PLAIN, _PLAIN, _PLAIN).map(lambda t: F.vector(*t)),
+    _PLAIN.map(F.grad),
+)
+_VECTORS = st.one_of(_VECTORS, _VECTORS.map(F.curl))
+_SCALARS = st.recursive(
+    st.one_of(_LEAVES, _VECTORS.map(F.divergence)), _arith, max_leaves=10
+)
+
+
+def _bits_equal(a, b):
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all()) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _components(f, order):
+    """Jets of a scalar or vector tree as a tuple, and the evaluation record."""
+    ctx = F.EvalContext(_PTS.shape[0])
+    with np.errstate(all="ignore"):
+        if isinstance(f, F.ScalarField):
+            return (f.jet(_PTS, order=order, ctx=ctx),), ctx
+        return tuple(f.jets(_PTS, order=order, ctx=ctx)), ctx
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_SCALARS, _SCALARS, _VECTORS))  # two scalar trees per vector tree
+def test_order_respecting_jets(f):
+    # values and gradients come from the same expressions at every order, and
+    # an order-k jet carries nothing above order k
+    c0, ctx0 = _components(f, 0)
+    c1, _ = _components(f, 1)
+    c2, _ = _components(f, 2)
+    for j0, j1, j2 in zip(c0, c1, c2):
+        assert j0.order == 0 and j0.grad is None and j0.hess is None
+        assert j1.order == 1 and j1.hess is None
+        assert j2.order == 2
+        assert _bits_equal(j0.value, j2.value)
+        assert _bits_equal(j1.value, j2.value)
+        assert _bits_equal(j1.grad, j2.grad)
+    expect = np.stack([j.value for j in c0], axis=1)
+    expect[ctx0.invalid] = np.nan
+    got = f.values(_PTS)
+    assert _bits_equal(got.reshape(expect.shape), expect)

@@ -115,7 +115,7 @@ class TestKillingScan:
         proj = basis.T @ np.linalg.solve(basis @ basis.T, basis @ target.T)
         np.testing.assert_allclose(proj.T, target, atol=1e-10)
 
-    def test_two_mode_field_has_translations_and_screw(self):
+    def test_single_mode_abc_flow_has_translations_and_screw(self):
         # the z-dependent planar field is killed by both translations in the
         # plane and by the screw z-translation + z-rotation combination
         rec = beltrami.catalog("abc_minimal")
