@@ -41,7 +41,7 @@ from .composite import (
     assemble,
     verify_composite,
 )
-from .domains import Domain, Exclusion, Point3, SampleSet, sample
+from .domains import Domain, Exclusion, SampleSet, sample
 from .fields import (
     EvaluationError,
     Jet2,

@@ -91,13 +91,33 @@ def _parse_generator(spec: str) -> KillingParams:
         ) from None
 
 
-def _emit(doc: dict, args) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _write(text: str, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, args) -> None:
+    _write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", args)
+
+
+def _write_csv(cols: list[str], data: np.ndarray, args, tags=None) -> None:
+    """CSV with a header line; floats as %.17g, then an optional text column."""
+    fmt = ",".join(["%.17g"] * data.shape[1])
+    rows = [fmt % tuple(row) for row in data.tolist()]
+    if tags is not None:
+        rows = [f"{row},{tag}" for row, tag in zip(rows, tags.tolist())]
+    _write("\n".join([",".join(cols), *rows]) + "\n", args)
+
+
+def _grid(domain: Domain, n: int) -> np.ndarray:
+    """The n^3 points of the regular grid on the domain's bounding box, x slowest."""
+    lo, hi = domain.bounding_box()
+    axes = [np.linspace(lo[i], hi[i], n) for i in range(3)]
+    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
 def _sanitize(v):
@@ -335,64 +355,33 @@ def cmd_composite(args) -> int:
 
 
 def cmd_export(args) -> int:
+    cols = ["x", "y", "z", "wx", "wy", "wz"]
     if args.name == "composite":
         pf = assemble(
             clebsch.catalog(args.core), beltrami.catalog(args.shell), eps=args.eps
         )
-        domain = pf.ambient
-        lo, hi = domain.bounding_box()
-        n = args.grid
-        axes = [np.linspace(lo[i], hi[i], n) for i in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        vals = pf.values(pts)
-        tags = pf.region_tags(pts)
-        cols = ["x", "y", "z", "wx", "wy", "wz"]
-        data = [pts[:, 0], pts[:, 1], pts[:, 2], vals[:, 0], vals[:, 1], vals[:, 2]]
-        lines = [",".join(cols + ["region"])]
-        for i in range(pts.shape[0]):
-            lines.append(
-                ",".join(format(float(c[i]), ".17g") for c in data) + f",{tags[i]}"
-            )
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        pts = _grid(pf.ambient, args.grid)
+        _write_csv(cols + ["region"], np.hstack([pts, pf.values(pts)]), args,
+                   tags=pf.region_tags(pts))
         return 0
     entry = registry.get(args.name)
     domain = _parse_domain(args.domain) if args.domain else entry.domain
-    lo, hi = domain.bounding_box()
-    n = args.grid
-    axes = [np.linspace(lo[i], hi[i], n) for i in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    vals = entry.field.values(pts)
-    cols = ["x", "y", "z", "wx", "wy", "wz"]
-    data = [pts[:, 0], pts[:, 1], pts[:, 2], vals[:, 0], vals[:, 1], vals[:, 2]]
+    pts = _grid(domain, args.grid)
+    data = np.hstack([pts, entry.field.values(pts)])
     if entry.chi is not None:
         cols.append("chi")
-        data.append(entry.chi.values(pts))
+        data = np.column_stack([data, entry.chi.values(pts)])
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
             "command": "export",
             "field": args.name,
             "columns": cols,
-            "rows": [[_sanitize(float(c[i])) for c in data] for i in range(pts.shape[0])],
+            "rows": [[_sanitize(v) for v in row] for row in data.tolist()],
         }
         _emit(doc, args)
-        return 0
-    lines = [",".join(cols)]
-    for i in range(pts.shape[0]):
-        lines.append(",".join(format(float(c[i]), ".17g") for c in data))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write_csv(cols, data, args)
     return 0
 
 
@@ -421,32 +410,19 @@ def cmd_characteristics(args) -> int:
         ok = np.array([r.ok for r in results])
         sup = float(np.abs(vals[ok] - ref[ok]).max()) if ok.any() else float("inf")
         passed = bool(ok.all() and sup < _CHAR_TOL)
-        label = "psi"
+        result = {"quantity": "psi", "sup_error": _sanitize(sup), "n_failed": int((~ok).sum())}
+        text = [f"sup error vs closed form: {sup:.3e} ({int(ok.sum())}/{len(ok)} points)"]
     elif name in ("abc_minimal", "cylindrical"):
-        from .beltrami import ConstructionError
-
         try:
             alpha_from_characteristics(
                 name, p=fsin(S) + T, g=-fsin(T), n_targets=args.samples,
                 tol=_CHAR_TOL, seed=args.seed,
             )
             passed = True
-        except ConstructionError as e:
+        except beltrami.ConstructionError as e:
             print(f"error: {e}", file=sys.stderr)
             passed = False
-        doc = {
-            "schema": SCHEMA,
-            "command": "characteristics",
-            "field": name,
-            "quantity": "alpha",
-            "config": _config_doc(args, ("samples", "seed")),
-            "passed": passed,
-        }
-        if args.format == "json" or args.out:
-            _emit(doc, args)
-        else:
-            print("passed" if passed else "FAILED")
-        return 0 if passed else 1
+        result, text = {"quantity": "alpha"}, []
     else:
         raise UsageError(
             "characteristics supports w4_1, w4_2 (psi) and abc_minimal, cylindrical (alpha)"
@@ -455,17 +431,14 @@ def cmd_characteristics(args) -> int:
         "schema": SCHEMA,
         "command": "characteristics",
         "field": name,
-        "quantity": label,
         "config": _config_doc(args, ("samples", "seed")),
-        "sup_error": _sanitize(sup),
-        "n_failed": int((~ok).sum()),
+        **result,
         "passed": passed,
     }
     if args.format == "json" or args.out:
         _emit(doc, args)
     else:
-        print(f"sup error vs closed form: {sup:.3e} ({int(ok.sum())}/{len(ok)} points)")
-        print("passed" if passed else "FAILED")
+        print(*text, "passed" if passed else "FAILED", sep="\n")
     return 0 if passed else 1
 
 

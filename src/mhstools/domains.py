@@ -1,23 +1,17 @@
 """Sampling regions: boxes, balls, shells, with optional exclusions.
 
 Sample sets are reproducible from (generator tag, seed, count, domain); the
-low-discrepancy generator is an unscrambled Halton sequence, the random one a
-seeded PCG64 stream, both filtered by rejection against the region.
+low-discrepancy generator is the Halton sequence in bases 2, 3 and 5 (radical
+inverses computed here, bit-identical to scipy's unscrambled `qmc.Halton`),
+rotated by a seeded Cranley-Patterson shift, the random one a seeded PCG64
+stream, both filtered by rejection against the region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import qmc
-
-
-class Point3(NamedTuple):
-    x: float
-    y: float
-    z: float
 
 
 @dataclass(frozen=True)
@@ -209,17 +203,47 @@ class SampleSet:
         }
 
 
+def _halton(start: int, m: int) -> np.ndarray:
+    """Points start, ..., start + m - 1 of the unscrambled Halton sequence, (m, 3).
+
+    Each coordinate is the radical inverse of the index in its base, summed
+    digit by digit in the order scipy's `qmc.Halton(d=3, scramble=False)`
+    uses, so the points are bit-identical to it.  Lanes whose digits have run
+    out keep adding +0.0, which leaves them unchanged.
+    """
+    out = np.zeros((m, 3))
+    for k, b in enumerate((2, 3, 5)):
+        q = np.arange(start, start + m)
+        b2r = 1.0 / b
+        while q.any():
+            out[:, k] += (q % b) * b2r
+            b2r /= b
+            q //= b
+    return out
+
+
 def sample(domain: Domain, n: int, generator: str = "halton", seed: int = 0) -> SampleSet:
-    """Draw n points from the domain by rejection from its bounding box."""
+    """Draw n points from the domain by rejection from its bounding box.
+
+    "halton" draws successive Halton points (from index 0, continuing across
+    the rejection rounds) rotated by the Cranley-Patterson shift
+    u -> (u + shift) mod 1 with shift = default_rng(seed).random(3); seed 0
+    takes no shift, i.e. the plain sequence.  "random" draws from a PCG64
+    stream seeded with `seed`.
+    """
     if n <= 0:
         raise ValueError("need a positive sample count")
     lo, hi = domain.bounding_box()
     span = hi - lo
     if generator == "halton":
-        engine = qmc.Halton(d=3, scramble=False)
+        shift = np.random.default_rng(seed).random(3) if seed else np.zeros(3)
+        drawn = 0
 
         def draw(m):
-            return lo + engine.random(m) * span
+            nonlocal drawn
+            u = (_halton(drawn, m) + shift) % 1.0
+            drawn += m
+            return lo + u * span
 
     elif generator == "random":
         rng = np.random.default_rng(seed)

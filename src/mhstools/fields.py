@@ -476,22 +476,6 @@ def substitute(expr: ScalarField, mapping: dict) -> ScalarField:
     return rebuild(expr)
 
 
-def univariate_jet(expr: ScalarField, tvals: np.ndarray, var: str = "T"):
-    """Evaluate a univariate expression and its first two derivatives.
-
-    The expression is over a single Placeholder (or the x coordinate); it is
-    evaluated on jets seeded along the first axis, so the chain rule is exact.
-    """
-    tvals = np.asarray(tvals, dtype=float)
-    expr0 = substitute(expr, {var: X}) if var != "x" else expr
-    pts = np.zeros((tvals.shape[0], 3))
-    pts[:, 0] = tvals
-    ctx = EvalContext(tvals.shape[0])
-    with np.errstate(all="ignore"):
-        j = expr0.jet(pts, order=2, ctx=ctx)
-    return j.value, j.grad[:, 0], j.hess[:, 0], ctx
-
-
 # ---------------------------------------------------------------------------
 # vector fields
 # ---------------------------------------------------------------------------

@@ -16,14 +16,8 @@ import numpy as np
 
 # Packed upper-triangle layout for symmetric Hessians: xx, xy, xz, yy, yz, zz.
 PACKED_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_PIDX = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 1): 3, (1, 2): 4, (2, 2): 5}
 # Packed indices forming row i of the full 3x3 matrix.
 _ROW = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
-
-
-def pidx(i: int, j: int) -> int:
-    """Packed index of Hessian entry (i, j)."""
-    return _PIDX[(i, j) if i <= j else (j, i)]
 
 
 def sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -115,9 +109,6 @@ class Jet2:
             raise ValueError("an order-0 jet has no partial derivatives")
         g = None if self.hess is None else self.hess_row(i).copy()
         return Jet2(self.grad[:, i].copy(), g)
-
-    def laplacian(self) -> np.ndarray:
-        return self.hess[:, 0] + self.hess[:, 3] + self.hess[:, 5]
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -1,9 +1,15 @@
 """Domains, exclusions, and reproducible sampling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mhstools.domains import Domain, Exclusion, fibonacci_sphere, sample
+import mhstools
+from mhstools.domains import Domain, Exclusion, _halton, fibonacci_sphere, sample
 
 
 class TestDomains:
@@ -75,6 +81,21 @@ class TestSampling:
         b = sample(d, 200, generator="halton")
         np.testing.assert_array_equal(a.points, b.points)
 
+    def test_halton_seed_shifts_the_sequence(self):
+        d = Domain.spherical_shell((0, 0, 0), 0.6, 1.0)
+        lo, hi = d.bounding_box()
+        plain = lo + _halton(0, 4000) * (hi - lo)
+        plain = plain[d.contains(plain)][:300]
+        a0 = sample(d, 300, generator="halton", seed=0)
+        # seed 0 is the unshifted sequence, accepted points in order
+        np.testing.assert_array_equal(a0.points, plain)
+        a7 = sample(d, 300, generator="halton", seed=7)
+        assert not np.array_equal(a0.points, a7.points)
+        again = sample(d, 300, generator="halton", seed=7)
+        np.testing.assert_array_equal(a7.points, again.points)
+        for ss in (a7, sample(d, 300, generator="halton", seed=2**31 - 1)):
+            assert d.contains(ss.points).all()
+
     def test_provenance(self):
         d = Domain.ball((0, 0, 0), 1.0)
         ss = sample(d, 50, generator="random", seed=5)
@@ -95,6 +116,26 @@ class TestSampling:
         d = Domain.ball((0, 0, 0), 1.0, exclusion=Exclusion("ball", center=(0, 0, 0), radius=0.5))
         ss = sample(d, 300)
         assert (np.linalg.norm(ss.points, axis=1) >= 0.5).all()
+
+
+def test_halton_matches_scipy_bit_for_bit():
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    engine = qmc.Halton(d=3, scramble=False)
+    start = 0
+    for m in (1, 255, 256, 1000, 5000, 7, 100_000):
+        expected = engine.random(m)
+        assert _halton(start, m).tobytes() == expected.tobytes()
+        start += m
+    assert start > 10**5
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(mhstools.__file__).resolve().parents[1])
+    code = ("import sys, mhstools.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_fibonacci_sphere_on_radius():
