@@ -169,14 +169,10 @@ def _crossing_fraction(f, surf, gsurf, p0: np.ndarray, s0: np.ndarray, s1: np.nd
     d s/d frac = h a(p) . grad s(p), kept inside the bisection bracket
     [lo, hi] as in Numerical Recipes' rtsafe: a step that leaves the bracket,
     is not finite, or does not halve the step before last is replaced by the
-    midpoint.  Where the surface has a multiple root on the crossing, Newton
-    converges only linearly, its steps shrinking by a steady ratio r; there
-    the step is multiplied by m = rint(1 / (1 - r)) (Schroeder's
-    multiplicity-corrected step) and only the bracket test applies.  It
-    starts from the secant guess and retires a lane once s == 0, once the
-    bracket collapses, or once the update falls to roundoff (`_FRAC_TOL`).
-    A lane still running after `_MAX_CROSSING_ITERATIONS` keeps the evaluated
-    fraction of least |s|.
+    midpoint.  It starts from the secant guess and retires a lane once s == 0,
+    once the bracket collapses, or once the update falls to roundoff
+    (`_FRAC_TOL`).  A lane still running after `_MAX_CROSSING_ITERATIONS`
+    keeps the evaluated fraction of least |s|.
     """
     m = p0.shape[0]
     lo = np.zeros(m)
@@ -185,9 +181,6 @@ def _crossing_fraction(f, surf, gsurf, p0: np.ndarray, s0: np.ndarray, s1: np.nd
     frac = np.where(np.isfinite(frac) & (frac > 0.0) & (frac <= 1.0), frac, 0.5)
     dx = np.ones(m)
     dxold = np.ones(m)
-    # the previous Newton step's length and its ratio to the one before
-    nstep = np.full(m, np.inf)
-    ratio = np.zeros(m)
     best = np.ones(m)
     sbest = np.abs(s1)
     live = np.arange(m)
@@ -204,19 +197,12 @@ def _crossing_fraction(f, surf, gsurf, p0: np.ndarray, s0: np.ndarray, s1: np.nd
         lo[live] = np.where(left, fl, lo[live])
         hi[live] = np.where(left, hi[live], fl)
         lol, hil = lo[live], hi[live]
-        step = -s / ds
-        # steady: this ratio and the last agree to within 10 %
-        r = np.abs(step) / nstep[live]
-        steady = (r > 0.4) & (r < 0.95) & (np.abs(r - ratio[live]) < 0.1 * r)
-        mult = np.where(steady, np.rint(1.0 / (1.0 - r)), 1.0)
-        nstep[live] = np.abs(step)
-        ratio[live] = r
-        newton = fl + mult * step
+        newton = fl - s / ds
         bisect = (
             ~np.isfinite(newton)
             | (newton <= lol)
             | (newton >= hil)
-            | (~steady & (np.abs(2.0 * s) > np.abs(dxold[live] * ds)))
+            | (np.abs(2.0 * s) > np.abs(dxold[live] * ds))
         )
         mid = 0.5 * (lol + hil)
         new = np.where(bisect, mid, newton)
