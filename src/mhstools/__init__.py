@@ -1,7 +1,7 @@
 """Construction and numerical verification of magnetohydrostatic equilibria.
 
 Scalar and vector fields are immutable expression trees evaluated through
-second-order jets (exact value/gradient/Hessian).  On top of them the
+truncated Taylor jets (exact derivatives of any order).  On top of them the
 package provides: a catalog of curl eigenfields and finite-pressure
 equilibria with verified residuals, rigid-symmetry detection by sampled
 SVD, locally adapted symmetry constructions, flux-function reductions and
@@ -44,7 +44,7 @@ from .composite import (
 from .domains import Domain, Exclusion, SampleSet, sample
 from .fields import (
     EvaluationError,
-    Jet2,
+    Jet,
     JetValue,
     ScalarField,
     VectorField,

@@ -103,7 +103,13 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, h: float, max_time: fl
 
     with np.errstate(all="ignore"):
         s = surf.values(p)
+        # on the surface when |s| <= tol |grad s|, so that a multiple root does not
+        # capture distant starts; grad s only where |s| passes the absolute test
         on_surface = np.abs(s) < _SURFACE_TOL
+        near = np.flatnonzero(on_surface)
+        if near.size:
+            gnorm = np.linalg.norm(gsurf.values(p[near]), axis=1)
+            on_surface[near] = np.abs(s[near]) <= _SURFACE_TOL * gnorm
         hit_p[on_surface] = p[on_surface]
         hit_t[on_surface] = 0.0
         done |= on_surface

@@ -108,7 +108,7 @@ def _write_csv(cols: list[str], data: np.ndarray, args, tags=None) -> None:
     fmt = ",".join(["%.17g"] * data.shape[1])
     rows = [fmt % tuple(row) for row in data.tolist()]
     if tags is not None:
-        rows = [f"{row},{tag}" for row, tag in zip(rows, tags.tolist())]
+        rows = [f"{row},{tag}" for row, tag in zip(rows, tags)]
     _write("\n".join([",".join(cols), *rows]) + "\n", args)
 
 
@@ -138,14 +138,20 @@ def _config_doc(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _print_report(rep, file=sys.stdout) -> None:
-    print(f"[{rep.label}]", file=file)
-    for name, st in rep.checks.items():
-        print(
-            f"  {name:22s} max={st.max:.3e}  mean={st.mean:.3e}  rms={st.rms:.3e}"
-            f"  (n={st.n_samples}, errors={st.n_errors})",
-            file=file,
-        )
+def _report_lines(rep) -> list[str]:
+    return [f"[{rep.label}]"] + [
+        f"  {name:22s} max={st.max:.3e}  mean={st.mean:.3e}  rms={st.rms:.3e}"
+        f"  (n={st.n_samples}, errors={st.n_errors})"
+        for name, st in rep.checks.items()
+    ]
+
+
+def _output(doc: dict, args, text: list[str]) -> None:
+    """The JSON document under --format json or --out, else the text lines."""
+    if args.format == "json" or args.out:
+        _emit(doc, args)
+    else:
+        print("\n".join(text))
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +215,7 @@ def cmd_verify(args) -> int:
         "gates": gates,
         "passed": bool(passed),
     }
-    if args.format == "json" or args.out:
-        _emit(doc, args)
-    else:
-        _print_report(rep)
-        print("passed" if passed else "FAILED")
+    _output(doc, args, _report_lines(rep) + ["passed" if passed else "FAILED"])
     return 0 if passed else 1
 
 
@@ -238,13 +240,11 @@ def cmd_symmetry(args) -> int:
             "boundary_gap": _sanitize(rep.boundary_gap),
         },
     }
-    if args.format == "json" or args.out:
-        _emit(doc, args)
-    else:
-        print(f"null dimension: {rep.null_dim}")
-        print("singular values:", " ".join(f"{v:.3e}" for v in rep.singular_values))
-        for k in rep.null_basis:
-            print(f"  generator a={k.a} b={k.b}")
+    _output(doc, args, [
+        f"null dimension: {rep.null_dim}",
+        "singular values: " + " ".join(f"{v:.3e}" for v in rep.singular_values),
+        *(f"  generator a={k.a} b={k.b}" for k in rep.null_basis),
+    ])
     return 0
 
 
@@ -263,16 +263,12 @@ def cmd_orbit(args) -> int:
         "orbit": orbit.to_dict(),
         "passed": bool(passed),
     }
-    if args.format == "json" or args.out:
-        _emit(doc, args)
-    else:
-        for m in orbit.members:
-            tag = " (terminal null)" if m.terminal_null else ""
-            print(
-                f"member {m.index}: beltrami={m.report.max('beltrami'):.3e} "
-                f"divergence={m.report.max('divergence'):.3e}{tag}"
-            )
-        print("passed" if passed else "FAILED")
+    _output(doc, args, [
+        f"member {m.index}: beltrami={m.report.max('beltrami'):.3e} "
+        f"divergence={m.report.max('divergence'):.3e}"
+        + (" (terminal null)" if m.terminal_null else "")
+        for m in orbit.members
+    ] + ["passed" if passed else "FAILED"])
     return 0 if passed else 1
 
 
@@ -293,10 +289,7 @@ def cmd_gs(args) -> int:
         "problem": prob.to_dict(),
         "report": _report_doc(rep),
     }
-    if args.format == "json" or args.out:
-        _emit(doc, args)
-    else:
-        _print_report(rep)
+    _output(doc, args, _report_lines(rep))
     return 0
 
 
@@ -316,11 +309,7 @@ def cmd_ggse(args) -> int:
         "gates": gates,
         "passed": bool(passed),
     }
-    if args.format == "json" or args.out:
-        _emit(doc, args)
-    else:
-        _print_report(rep)
-        print("passed" if passed else "FAILED")
+    _output(doc, args, _report_lines(rep) + ["passed" if passed else "FAILED"])
     return 0 if passed else 1
 
 
@@ -342,46 +331,43 @@ def cmd_composite(args) -> int:
         "report": rep.to_dict(),
         "passed": bool(passed),
     }
-    if args.format == "json" or args.out:
-        _emit(doc, args)
-    else:
-        print(f"L2 estimate: {rep.l2_estimate:.6f} +- {rep.l2_standard_error:.6f}")
-        print(f"interface jump max/mean: {rep.interface_jump_max:.4f}/{rep.interface_jump_mean:.4f}")
-        print(f"interface |w.n| core/shell: {rep.interface_flux_core_max:.4f}/{rep.interface_flux_shell_max:.4f}")
-        print(f"outer boundary |w.n| max: {rep.boundary_flux_max:.4f}")
-        print(f"core null dimension: {rep.core_killing.null_dim}")
-        print("passed" if passed else "FAILED")
+    _output(doc, args, [
+        f"L2 estimate: {rep.l2_estimate:.6f} +- {rep.l2_standard_error:.6f}",
+        f"interface jump max/mean: {rep.interface_jump_max:.4f}/{rep.interface_jump_mean:.4f}",
+        f"interface |w.n| core/shell: {rep.interface_flux_core_max:.4f}/{rep.interface_flux_shell_max:.4f}",
+        f"outer boundary |w.n| max: {rep.boundary_flux_max:.4f}",
+        f"core null dimension: {rep.core_killing.null_dim}",
+        "passed" if passed else "FAILED",
+    ])
     return 0 if passed else 1
 
 
 def cmd_export(args) -> int:
     cols = ["x", "y", "z", "wx", "wy", "wz"]
+    tags = None
     if args.name == "composite":
         pf = assemble(
             clebsch.catalog(args.core), beltrami.catalog(args.shell), eps=args.eps
         )
-        pts = _grid(pf.ambient, args.grid)
-        _write_csv(cols + ["region"], np.hstack([pts, pf.values(pts)]), args,
-                   tags=pf.region_tags(pts))
-        return 0
-    entry = registry.get(args.name)
-    domain = _parse_domain(args.domain) if args.domain else entry.domain
-    pts = _grid(domain, args.grid)
-    data = np.hstack([pts, entry.field.values(pts)])
-    if entry.chi is not None:
-        cols.append("chi")
-        data = np.column_stack([data, entry.chi.values(pts)])
-    if args.format == "json":
-        doc = {
-            "schema": SCHEMA,
-            "command": "export",
-            "field": args.name,
-            "columns": cols,
-            "rows": [[_sanitize(v) for v in row] for row in data.tolist()],
-        }
-        _emit(doc, args)
+        pts = _grid(_parse_domain(args.domain) if args.domain else pf.ambient, args.grid)
+        data = np.hstack([pts, pf.values(pts)])
+        cols.append("region")
+        tags = pf.region_tags(pts).tolist()
     else:
-        _write_csv(cols, data, args)
+        entry = registry.get(args.name)
+        pts = _grid(_parse_domain(args.domain) if args.domain else entry.domain, args.grid)
+        data = np.hstack([pts, entry.field.values(pts)])
+        if entry.chi is not None:
+            cols.append("chi")
+            data = np.column_stack([data, entry.chi.values(pts)])
+    if args.format == "json":
+        rows = [[_sanitize(v) for v in row] for row in data.tolist()]
+        if tags is not None:
+            rows = [row + [tag] for row, tag in zip(rows, tags)]
+        _emit({"schema": SCHEMA, "command": "export", "field": args.name, "columns": cols,
+               "rows": rows}, args)
+    else:
+        _write_csv(cols, data, args, tags=tags)
     return 0
 
 
@@ -435,10 +421,7 @@ def cmd_characteristics(args) -> int:
         **result,
         "passed": passed,
     }
-    if args.format == "json" or args.out:
-        _emit(doc, args)
-    else:
-        print(*text, "passed" if passed else "FAILED", sep="\n")
+    _output(doc, args, text + ["passed" if passed else "FAILED"])
     return 0 if passed else 1
 
 

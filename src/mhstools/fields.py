@@ -1,13 +1,14 @@
 """Expression trees for scalar and vector fields on R^3.
 
-Trees are immutable and evaluate to jets (value, gradient, Hessian) at
+Trees are immutable and evaluate to truncated Taylor jets (`jets.Jet`) at
 batches of points, up to the requested order: an order-0 evaluation computes
-values only, order 1 adds gradients and only order 2 computes Hessians; the
-entries above the order are absent (None).  Differentiation is exact
-forward-mode through the tree; structural nodes that consume a derivative
-order (gradient, curl, divergence, Lie derivative) obtain third-order
-information, when a caller requests full jets of their output, by central
-finite differences of exact jet evaluations.
+values only, order 1 adds gradients, order 2 Hessians, and so on; nothing
+above the order is computed.  Differentiation is exact forward-mode through
+the tree at every order: a node that consumes a derivative (gradient, curl,
+divergence, Lie derivative, the derivative of a composition) asks its child
+for one order more and reads the derivative off by an exact column shift, so
+nested derivative nodes such as repeated Lie transport stay exact to roundoff
+and cost one tree walk.
 
 Domain violations (log of a non-positive argument, division by zero, ...) are
 recorded per sample point and never abort a batched evaluation; single-point
@@ -20,10 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2, JetValue, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
-
-# Step for the finite-difference fallback that supplies third derivatives.
-FD_STEP = 1e-4
+from .jets import Jet, JetValue, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
 
 _AXES = "xyz"
 
@@ -76,7 +74,7 @@ class ScalarField:
 
     precedence = 100
 
-    def jet(self, pts: np.ndarray, order: int = 2, ctx: EvalContext | None = None) -> Jet2:
+    def jet(self, pts: np.ndarray, order: int = 2, ctx: EvalContext | None = None) -> Jet:
         raise NotImplementedError
 
     def values(self, pts) -> np.ndarray:
@@ -161,7 +159,7 @@ class Const(ScalarField):
     c: float
 
     def jet(self, pts, order=2, ctx=None):
-        return Jet2.constant(np.asarray(self.c), n=pts.shape[0], order=order)
+        return Jet.constant(np.asarray(self.c), n=pts.shape[0], order=order)
 
     def render(self):
         return _num(self.c)
@@ -172,7 +170,7 @@ class Coord(ScalarField):
     axis: int
 
     def jet(self, pts, order=2, ctx=None):
-        return Jet2.coordinate(pts, self.axis, order)
+        return Jet.coordinate(pts, self.axis, order)
 
     def render(self):
         return _AXES[self.axis]
@@ -356,11 +354,8 @@ class Divergence(ScalarField):
     w: "VectorField"
 
     def jet(self, pts, order=2, ctx=None):
-        child = self.w.jets(pts, min(order + 1, 2), ctx)
-        j = child[0].partial(0) + child[1].partial(1) + child[2].partial(2)
-        if order >= 2:
-            j.hess = _fd_scalar_hessian(self, pts, ctx)
-        return j
+        child = self.w.jets(pts, order + 1, ctx)
+        return child[0].partial(0) + child[1].partial(1) + child[2].partial(2)
 
     def render(self):
         return f"div({self.w.render()})"
@@ -373,8 +368,7 @@ class Compose1(ScalarField):
     `gexpr` is an expression over a single Placeholder `var`; the chain rule
     is applied exactly by evaluating `gexpr` on jets seeded along the first
     axis, to the order the caller asks for.  With deriv=1 the node evaluates
-    the derivative of g at u; its own second derivatives then require g'''
-    and fall back to univariate finite differences.
+    the derivative of g at u, reading g', g'', ... off one order more.
     """
 
     gexpr: ScalarField
@@ -382,31 +376,17 @@ class Compose1(ScalarField):
     var: str = "T"
     deriv: int = 0
 
-    def _seed(self, tvals):
-        pts = np.zeros((tvals.shape[0], 3))
-        pts[:, 0] = tvals
-        return pts
-
     def jet(self, pts, order=2, ctx=None):
         if self.deriv not in (0, 1):
             raise ValueError("deriv must be 0 or 1")
         ju = self.inner.jet(pts, order, ctx)
         gx = substitute(self.gexpr, {self.var: X})
-        jt = gx.jet(self._seed(ju.value), min(order + self.deriv, 2), ctx)
-        # g, g', g'' along the seeded axis, as far as the order requires
-        g = [jt.value]
-        if jt.grad is not None:
-            g.append(jt.grad[:, 0])
-        if jt.hess is not None:
-            g.append(jt.hess[:, 0])
-        if self.deriv == 1 and order >= 2:
-            # third derivative of g by finite differences of exact g''
-            offsets, denom = _fd_weights(FD_STEP)
-            acc = np.zeros_like(g[2])
-            for off, wgt in offsets:
-                acc += wgt * gx.jet(self._seed(ju.value + off), 2, ctx).hess[:, 0]
-            g.append(acc / denom)
-        return ju.chain(*g[self.deriv:])
+        seeded = np.zeros((ju.value.shape[0], 3))
+        seeded[:, 0] = ju.value
+        jt = gx.jet(seeded, order + self.deriv, ctx)
+        # g, g', g'', ... along the seeded axis: column 0 of each block
+        g = [jt.value] + [b[:, 0] for b in jt.c[1:]]
+        return ju.chain(g[self.deriv:])
 
     def render(self):
         base = f"[{self.gexpr.render()}]"
@@ -487,8 +467,8 @@ class VectorField:
     def jets(self, pts: np.ndarray, order: int = 2, ctx: EvalContext | None = None):
         """Component jets at (N, 3) points.
 
-        Entries up to `order` (0: values, 1: +gradients, 2: +Hessians) are
-        computed; higher entries are absent (None).
+        Derivative blocks up to `order` (0: values, 1: +gradients,
+        2: +Hessians, ...) are computed, nothing above it.
         """
         raise NotImplementedError
 
@@ -532,67 +512,6 @@ class VectorField:
     __rmul__ = __mul__
 
 
-def _fd_weights(step: float):
-    # fourth-order central stencil for a first derivative
-    return ((2 * step, -1.0), (step, 8.0), (-step, -8.0), (-2 * step, 1.0)), 12.0 * step
-
-
-def _fd_vector_hessians(node: VectorField, pts: np.ndarray, ctx, step: float = FD_STEP):
-    """Third-order fallback: finite differences of exact component gradients."""
-    n = pts.shape[0]
-    d = np.zeros((3, 3, n, 3))  # d[k][c] = d/dx_k grad(component c)
-    for k in range(3):
-        acc = [np.zeros((n, 3)) for _ in range(3)]
-        offsets, denom = _fd_weights(step)
-        for off, wgt in offsets:
-            q = pts.copy()
-            q[:, k] += off
-            jq = node.jets(q, order=1, ctx=ctx)
-            for c in range(3):
-                acc[c] += wgt * jq[c].grad
-        for c in range(3):
-            d[k, c] = acc[c] / denom
-    hess = [np.zeros((n, 6)) for _ in range(3)]
-    for c in range(3):
-        for k in range(6):
-            i, j = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))[k]
-            hess[c][:, k] = 0.5 * (d[i, c][:, j] + d[j, c][:, i])
-    return hess
-
-
-def _fd_scalar_hessian(node: ScalarField, pts: np.ndarray, ctx, step: float = FD_STEP):
-    n = pts.shape[0]
-    d = np.zeros((3, n, 3))
-    for k in range(3):
-        acc = np.zeros((n, 3))
-        offsets, denom = _fd_weights(step)
-        for off, wgt in offsets:
-            q = pts.copy()
-            q[:, k] += off
-            acc += wgt * node.jet(q, order=1, ctx=ctx).grad
-        d[k] = acc / denom
-    hess = np.zeros((n, 6))
-    for k in range(6):
-        i, j = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))[k]
-        hess[:, k] = 0.5 * (d[i][:, j] + d[j][:, i])
-    return hess
-
-
-class _Consuming(VectorField):
-    """Vector node whose components are derivatives of its children."""
-
-    def _jets_base(self, pts, order, ctx):
-        raise NotImplementedError
-
-    def jets(self, pts, order=2, ctx=None):
-        if order <= 1:
-            return self._jets_base(pts, order, ctx)
-        jx, jy, jz = self._jets_base(pts, 1, ctx)
-        hx, hy, hz = _fd_vector_hessians(self, pts, ctx)
-        jx.hess, jy.hess, jz.hess = hx, hy, hz
-        return jx, jy, jz
-
-
 @dataclass(frozen=True)
 class FromComponents(VectorField):
     fx: ScalarField
@@ -611,11 +530,11 @@ class FromComponents(VectorField):
 
 
 @dataclass(frozen=True)
-class Gradient(_Consuming):
+class Gradient(VectorField):
     f: ScalarField
 
-    def _jets_base(self, pts, order, ctx):
-        j = self.f.jet(pts, min(order + 1, 2), ctx)
+    def jets(self, pts, order=2, ctx=None):
+        j = self.f.jet(pts, order + 1, ctx)
         return j.partial(0), j.partial(1), j.partial(2)
 
     def render(self):
@@ -623,11 +542,11 @@ class Gradient(_Consuming):
 
 
 @dataclass(frozen=True)
-class Curl(_Consuming):
+class Curl(VectorField):
     w: VectorField
 
-    def _jets_base(self, pts, order, ctx):
-        j = self.w.jets(pts, min(order + 1, 2), ctx)
+    def jets(self, pts, order=2, ctx=None):
+        j = self.w.jets(pts, order + 1, ctx)
         return (
             j[2].partial(1) - j[1].partial(2),
             j[0].partial(2) - j[2].partial(0),
@@ -689,16 +608,15 @@ class VScale(VectorField):
 
 
 @dataclass(frozen=True)
-class Lie(_Consuming):
+class Lie(VectorField):
     """Lie derivative of `w` along `xi`: (xi.grad) w - (w.grad) xi."""
 
     xi: VectorField
     w: VectorField
 
-    def _jets_base(self, pts, order, ctx):
-        co = min(order + 1, 2)
-        jx = self.xi.jets(pts, co, ctx)
-        jw = self.w.jets(pts, co, ctx)
+    def jets(self, pts, order=2, ctx=None):
+        jx = self.xi.jets(pts, order + 1, ctx)
+        jw = self.w.jets(pts, order + 1, ctx)
         out = []
         for k in range(3):
             acc = jx[0] * jw[k].partial(0) - jw[0] * jx[k].partial(0)
@@ -712,7 +630,7 @@ class Lie(_Consuming):
 
 
 @dataclass(frozen=True)
-class LieEuclidean(_Consuming):
+class LieEuclidean(VectorField):
     """Lie derivative of `w` along the rigid generator a + b x r.
 
     Uses the closed form (a + b x r) . grad w - b x w; the generator's own
@@ -723,21 +641,21 @@ class LieEuclidean(_Consuming):
     b: tuple
     w: VectorField
 
-    def _jets_base(self, pts, order, ctx):
-        co = min(order + 1, 2)
-        jw = self.w.jets(pts, co, ctx)
+    def jets(self, pts, order=2, ctx=None):
+        jw = self.w.jets(pts, order + 1, ctx)
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         n = pts.shape[0]
-        # generator components as exact jets (linear fields) of the order asked
-        xi = []
+        # the generator is linear: values xivals, constant gradient rows bmat
         bmat = np.array(
             [[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]]
         )
         xivals = a[None, :] + np.cross(np.broadcast_to(b, (n, 3)), pts)
+        xi = []
         for i in range(3):
-            g = np.tile(bmat[i], (n, 1)) if order >= 1 else None
-            xi.append(Jet2(xivals[:, i].copy(), g))
+            xi.append(Jet.constant(xivals[:, i].copy(), order=order))
+            if order >= 1:
+                xi[i].c[1][:] = bmat[i]
         out = []
         for k in range(3):
             acc = xi[0] * jw[k].partial(0)

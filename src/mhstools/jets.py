@@ -1,23 +1,36 @@
-"""Vectorized second-order jets.
+"""Vectorized truncated Taylor jets of any order.
 
-A jet carries a value together with its gradient and Hessian with respect to
-the three Cartesian coordinates, evaluated at a batch of points, up to its
-order: 0 (value), 1 (+gradient) or 2 (+Hessian).  All arithmetic propagates
-derivatives exactly (forward mode), so expression evaluation yields
-machine-precision first and second derivatives, and an order-0 evaluation
-pays for values only.
+A jet of order K holds, at each of N points, every partial derivative up to
+total degree K of a scalar function of (x, y, z), in degree blocks: block 0
+the values (N,), block d the degree-d derivatives (N, (d + 1)(d + 2)/2), one
+column per sorted axis tuple of `monomials(d)`.  Block 1 is the gradient,
+block 2 the packed Hessian xx, xy, xz, yy, yz, zz.  Blocks hold derivatives,
+i.e. Taylor coefficients times alpha! (the Hessian diagonal keeps its exact
+factor 2), so a partial derivative is an exact column shift one block down.
+
+Arithmetic is exact forward-mode Taylor arithmetic (Griewank & Walther,
+Evaluating Derivatives, 2008, ch. 13) at the lower order of its operands.
+Blocks of degree <= 2 use the closed product and chain rules; higher blocks
+sum Leibniz pair tables, and compositions run through the powers of the
+jet's nilpotent part (Faa di Bruno).  Block d is computed the same way at
+every order, so a high-order jet's low blocks are bit-identical to a
+low-order jet.  Arithmetic never modifies a block in place, so jets share them.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, repeat
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 import numpy as np
 
 # Packed upper-triangle layout for symmetric Hessians: xx, xy, xz, yy, yz, zz.
 PACKED_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-# Packed indices forming row i of the full 3x3 matrix.
-_ROW = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # packed index of entry (i, j)
 
 
 def sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -36,233 +49,300 @@ def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-class Jet2:
-    """Batched value/gradient/Hessian triple of a given order.
+@lru_cache(maxsize=None)
+def monomials(d: int) -> tuple:
+    """Sorted axis tuples of the degree-d derivatives, in block column order."""
+    return tuple(combinations_with_replacement(range(3), d))
 
-    value: (N,), grad: (N, 3), hess: (N, 6) packed upper triangle.  An order-0
-    jet carries `grad = hess = None`, an order-1 jet `hess = None`.  Arithmetic
-    returns the lower order of its operands and computes nothing above it.
+
+@lru_cache(maxsize=None)
+def _shift(d: int, axis: int) -> np.ndarray:
+    """Columns of block d + 1 holding the axis-derivatives of block d."""
+    return np.array([monomials(d + 1).index(tuple(sorted(m + (axis,)))) for m in monomials(d)])
+
+
+@lru_cache(maxsize=None)
+def _leibniz(d: int, lo: int):
+    """Pair table of the degree-d Leibniz sum over left degrees lo..d-1.
+
+    Column alpha sums C(alpha, beta) left[beta] right[alpha - beta], with left
+    columns in the concatenated left blocks lo, lo+1, ... and right columns in
+    the concatenated right blocks 1, 2, ...; `starts` marks each column's
+    first pair.
     """
+    left, right, weight, starts = [], [], [], []
+    for alpha in monomials(d):
+        starts.append(len(left))
+        for i in range(lo, d):
+            for beta in sorted(set(combinations(alpha, i))):
+                gamma = tuple(sorted((Counter(alpha) - Counter(beta)).elements()))
+                left.append(comb(i + 2, 3) - comb(lo + 2, 3) + monomials(i).index(beta))
+                right.append(comb(d - i + 2, 3) - 1 + monomials(d - i).index(gamma))
+                weight.append(prod(comb(alpha.count(a), beta.count(a)) for a in range(3)))
+    return np.array(left), np.array(right), np.array(weight, dtype=float), np.array(starts)
 
-    __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: np.ndarray, grad: np.ndarray | None = None,
-                 hess: np.ndarray | None = None):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
+# points per pass of a Leibniz sum, so its (points x pairs) products stay small
+_PAIR_ROWS = 2048
+
+
+def _pair_sum(left: np.ndarray, right: np.ndarray, d: int, lo: int) -> np.ndarray:
+    """Degree-d Leibniz sum of concatenated left blocks lo.. and right blocks 1.."""
+    li, ri, w, starts = _leibniz(d, lo)
+    out = np.empty((left.shape[0], starts.size))
+    for r in range(0, left.shape[0], _PAIR_ROWS):
+        rows = slice(r, r + _PAIR_ROWS)
+        p = left[rows, li]
+        p *= right[rows, ri]
+        p *= w
+        out[rows] = np.add.reduceat(p, starts, axis=1)
+    return out
+
+
+def _high_product(a: list, b: list, k: int) -> list:
+    """Blocks 3..k of the product of the block lists a and b."""
+    left, right = np.concatenate(a[1:k], axis=1), np.concatenate(b[1:k], axis=1)
+    return [a[0][:, None] * b[d] + b[0][:, None] * a[d] + _pair_sum(left, right, d, 1)
+            for d in range(3, k + 1)]
+
+
+def _high_chain(c: list, fs, t2: np.ndarray, k: int) -> list:
+    """Blocks 3..k of f(u) from u's blocks c and f, f', f'', ... at u's values.
+
+    Block d is the sum over m of f^(m) times block d of p_m = t^m / m!, the
+    powers of the nilpotent part t = u - u(x0); p_m vanishes below degree m
+    and p_2 has block 2 `t2`.
+    """
+    t = np.concatenate(c[1:k], axis=1)
+    powers = [None, c]
+    for m in range(2, k + 1):
+        left = t if m == 2 else np.concatenate(powers[m - 1][m - 1:k], axis=1)
+        blocks = [None, None, t2] if m == 2 else [None] * m
+        blocks += [_pair_sum(left, t, d, m - 1) / m for d in range(max(m, 3), k + 1)]
+        powers.append(blocks)
+    out = []
+    for d in range(3, k + 1):
+        acc = fs[1][:, None] * c[d]
+        for m in range(2, d + 1):
+            acc = acc + fs[m][:, None] * powers[m][d]
+        out.append(acc)
+    return out
+
+
+class Jet:
+    """Batched truncated Taylor jet: `c[d]` is the degree-d block, d = 0..order."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, blocks: list):
+        self.c = blocks
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, value: np.ndarray, n: int | None = None, order: int = 2) -> "Jet2":
+    def constant(cls, value: np.ndarray, n: int | None = None, order: int = 2) -> "Jet":
         v = np.asarray(value, dtype=float)
         if v.ndim == 0:
             if n is None:
                 raise ValueError("batch size required for scalar constant")
-            v = np.full(n, float(v))
-        m = v.shape[0]
-        return cls(
-            v,
-            np.zeros((m, 3)) if order >= 1 else None,
-            np.zeros((m, 6)) if order >= 2 else None,
-        )
+            v, c = np.empty(n), float(v)
+            v.fill(c)
+        blocks = [v]
+        for d in range(1, order + 1):
+            blocks.append(np.zeros((v.shape[0], (d + 1) * (d + 2) // 2)))
+        return cls(blocks)
 
     @classmethod
-    def coordinate(cls, pts: np.ndarray, axis: int, order: int = 2) -> "Jet2":
+    def coordinate(cls, pts: np.ndarray, axis: int, order: int = 2) -> "Jet":
         n = pts.shape[0]
-        g = None
+        blocks = [pts[:, axis].astype(float, copy=True)]
+        for d in range(1, order + 1):
+            blocks.append(np.zeros((n, (d + 1) * (d + 2) // 2)))
         if order >= 1:
-            g = np.zeros((n, 3))
-            g[:, axis] = 1.0
-        return cls(pts[:, axis].astype(float, copy=True), g,
-                   np.zeros((n, 6)) if order >= 2 else None)
+            blocks[1][:, axis] = 1.0
+        return cls(blocks)
 
-    # -- helpers ------------------------------------------------------------
+    # -- accessors ----------------------------------------------------------
 
     @property
-    def n(self) -> int:
-        return self.value.shape[0]
+    def value(self) -> np.ndarray:
+        return self.c[0]
+
+    @property
+    def grad(self) -> np.ndarray | None:  # (N, 3), None at order 0
+        return self.c[1] if len(self.c) > 1 else None
+
+    @property
+    def hess(self) -> np.ndarray | None:  # packed (N, 6), None below order 2
+        return self.c[2] if len(self.c) > 2 else None
 
     @property
     def order(self) -> int:
-        """Highest derivative order carried: 0, 1 or 2."""
-        if self.grad is None:
-            return 0
-        return 1 if self.hess is None else 2
+        """Highest derivative degree carried."""
+        return len(self.c) - 1
 
     def hessian(self) -> np.ndarray:
         """Full symmetric Hessian matrices, shape (N, 3, 3)."""
-        h = np.empty(self.value.shape + (3, 3))
-        for k, (i, j) in enumerate(PACKED_PAIRS):
-            h[..., i, j] = self.hess[..., k]
-            h[..., j, i] = self.hess[..., k]
-        return h
+        return self.c[2][:, _FULL]
 
-    def hess_row(self, i: int) -> np.ndarray:
-        """Row i of the full Hessian, shape (N, 3)."""
-        return self.hess[:, _ROW[i]]
-
-    def partial(self, i: int) -> "Jet2":
+    def partial(self, i: int) -> "Jet":
         """Jet of the i-th first partial derivative, one order lower."""
-        if self.grad is None:
+        c = self.c
+        if len(c) < 2:
             raise ValueError("an order-0 jet has no partial derivatives")
-        g = None if self.hess is None else self.hess_row(i).copy()
-        return Jet2(self.grad[:, i].copy(), g)
+        blocks = [c[1][:, i].copy()]
+        for d in range(1, len(c) - 1):
+            blocks.append(c[d + 1][:, _shift(d, i)])
+        return Jet(blocks)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Jet2):
-            g = h = None
-            if self.grad is not None and other.grad is not None:
-                g = self.grad + other.grad
-                if self.hess is not None and other.hess is not None:
-                    h = self.hess + other.hess
-            return Jet2(self.value + other.value, g, h)
-        return Jet2(self.value + other, _copy(self.grad), _copy(self.hess))
+        if isinstance(other, Jet):
+            a, b = self.c, other.c
+            if len(a) == 1 or len(b) == 1:  # values only, the common case
+                return Jet([a[0] + b[0]])
+            return Jet(list(map(operator.add, a, b)))
+        return Jet([self.c[0] + other, *self.c[1:]])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.value, _neg(self.grad), _neg(self.hess))
+        return Jet(list(map(operator.neg, self.c)))
 
     def __sub__(self, other):
-        if isinstance(other, Jet2):
-            g = h = None
-            if self.grad is not None and other.grad is not None:
-                g = self.grad - other.grad
-                if self.hess is not None and other.hess is not None:
-                    h = self.hess - other.hess
-            return Jet2(self.value - other.value, g, h)
-        return Jet2(self.value - other, _copy(self.grad), _copy(self.hess))
+        if isinstance(other, Jet):
+            a, b = self.c, other.c
+            if len(a) == 1 or len(b) == 1:
+                return Jet([a[0] - b[0]])
+            return Jet(list(map(operator.sub, a, b)))
+        return Jet([self.c[0] - other, *self.c[1:]])
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, Jet2):
-            a, b = self, other
-            value = a.value * b.value
-            grad = hess = None
-            if a.grad is not None and b.grad is not None:
-                grad = a.value[:, None] * b.grad + b.value[:, None] * a.grad
-                if a.hess is not None and b.hess is not None:
-                    hess = (
-                        a.value[:, None] * b.hess
-                        + b.value[:, None] * a.hess
-                        + sym_outer(a.grad, b.grad)
-                    )
-            return Jet2(value, grad, hess)
-        c = float(other)
-        return Jet2(
-            self.value * c,
-            None if self.grad is None else self.grad * c,
-            None if self.hess is None else self.hess * c,
-        )
+        # no comprehension here: names it captured would become cells on every call
+        if not isinstance(other, Jet):
+            return Jet(list(map(operator.mul, self.c, repeat(float(other)))))
+        a, b = self.c, other.c
+        k = min(len(a), len(b)) - 1
+        if k == 0:
+            return Jet([a[0] * b[0]])
+        grad = a[0][:, None] * b[1] + b[0][:, None] * a[1]
+        if k == 1:
+            return Jet([a[0] * b[0], grad])
+        out = [a[0] * b[0], grad,
+               a[0][:, None] * b[2] + b[0][:, None] * a[2] + sym_outer(a[1], b[1])]
+        return Jet(out + _high_product(a, b, k) if k >= 3 else out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Jet2):
+        if isinstance(other, Jet):
             return self * other.reciprocal()
         return self * (1.0 / float(other))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
-    def reciprocal(self) -> "Jet2":
-        v = self.value
-        o = self.order
-        return self.chain(1.0 / v, -1.0 / v**2 if o >= 1 else None,
-                          2.0 / v**3 if o >= 2 else None)
+    def reciprocal(self) -> "Jet":
+        v = self.c[0]
+        fs = [1.0 / v]
+        for k in range(1, len(self.c)):
+            fs.append((-1) ** k * factorial(k) / v ** (k + 1))
+        return self.chain(fs)
 
-    def chain(self, f0: np.ndarray, f1: np.ndarray | None = None,
-              f2: np.ndarray | None = None) -> "Jet2":
-        """Compose with a univariate function given f(v), f'(v), f''(v).
-
-        Only the derivatives up to this jet's order are read; higher ones may
-        be None.
-        """
-        grad = hess = None
-        if self.grad is not None:
-            grad = f1[:, None] * self.grad
-        if self.hess is not None:
-            hess = f1[:, None] * self.hess + f2[:, None] * outer(self.grad, self.grad)
-        return Jet2(f0, grad, hess)
-
-
-def _copy(a):
-    return None if a is None else a.copy()
-
-
-def _neg(a):
-    return None if a is None else -a
+    def chain(self, fs) -> "Jet":
+        """Compose with a univariate f given f(v), f'(v), f''(v), ... (order + 1 read)."""
+        c = self.c
+        k = len(c) - 1
+        if k == 0:
+            return Jet([fs[0]])
+        if k == 1:
+            return Jet([fs[0], fs[1][:, None] * c[1]])
+        t2 = outer(c[1], c[1])
+        out = [fs[0], fs[1][:, None] * c[1], fs[1][:, None] * c[2] + fs[2][:, None] * t2]
+        return Jet(out + _high_chain(c, fs, t2, k) if k >= 3 else out)
 
 
 # -- elementary functions ----------------------------------------------------
 
 
-def jexp(j: Jet2) -> Jet2:
-    e = np.exp(j.value)
-    return j.chain(e, e, e)
+def jexp(j: Jet) -> Jet:
+    e = np.exp(j.c[0])
+    return j.chain([e] * len(j.c))
 
 
-def jlog(j: Jet2) -> Jet2:
-    v = j.value
-    o = j.order
-    return j.chain(np.log(v), 1.0 / v if o >= 1 else None, -1.0 / v**2 if o >= 2 else None)
+def jlog(j: Jet) -> Jet:
+    v = j.c[0]
+    fs = [np.log(v)]
+    for k in range(1, len(j.c)):
+        fs.append(1.0 / v if k == 1 else (-1) ** (k - 1) * factorial(k - 1) / v**k)
+    return j.chain(fs)
 
 
-def jsin(j: Jet2) -> Jet2:
-    s = np.sin(j.value)
-    if j.order == 0:
-        return Jet2(s)
-    return j.chain(s, np.cos(j.value), -s)
+def _periodic(j: Jet, f: np.ndarray, df) -> Jet:
+    """j composed with a function of values f, f' = df(v) and f'' = -f."""
+    if len(j.c) == 1:
+        return Jet([f])
+    fs = [f, df(j.c[0])]
+    while len(fs) < len(j.c):
+        fs.append(-fs[-2])
+    return j.chain(fs)
 
 
-def jcos(j: Jet2) -> Jet2:
-    c = np.cos(j.value)
-    if j.order == 0:
-        return Jet2(c)
-    return j.chain(c, -np.sin(j.value), -c)
+def jsin(j: Jet) -> Jet:
+    return _periodic(j, np.sin(j.c[0]), np.cos)
 
 
-def jsqrt(j: Jet2) -> Jet2:
-    r = np.sqrt(j.value)
-    o = j.order
-    return j.chain(r, 0.5 / r if o >= 1 else None,
-                   -0.25 / (j.value * r) if o >= 2 else None)
+def jcos(j: Jet) -> Jet:
+    return _periodic(j, np.cos(j.c[0]), lambda v: -np.sin(v))
 
 
-def jpow(j: Jet2, e: float) -> Jet2:
-    v = j.value
-    o = j.order
+def jsqrt(j: Jet) -> Jet:
+    v = j.c[0]
+    r = np.sqrt(v)
+    if len(j.c) == 1:
+        return Jet([r])
+    fs = [r, 0.5 / r]
+    if j.order >= 2:
+        fs.append(-0.25 / (v * r))
+    for k in range(3, j.order + 1):
+        fs.append(fs[-1] * ((1.5 - k) / v))
+    return j.chain(fs)
+
+
+def jpow(j: Jet, e: float) -> Jet:
+    v = j.c[0]
     if e == 0:
-        return Jet2.constant(np.ones_like(v), order=o)
+        return Jet.constant(np.ones_like(v), order=j.order)
     if e == 1:
-        return Jet2(v.copy(), _copy(j.grad), _copy(j.hess))
+        return Jet(list(j.c))
     if e == 2:
         return j * j
-    f0 = v**e
-    f1 = e * v ** (e - 1) if o >= 1 else None
-    f2 = e * (e - 1) * v ** (e - 2) if o >= 2 else None
-    return j.chain(f0, f1, f2)
+    fs = [v**e]
+    coef = 1.0
+    for k in range(1, len(j.c)):
+        coef *= e - k + 1
+        # an integer power's derivatives above its degree vanish, also at v = 0
+        fs.append(coef * v ** (e - k) if coef != 0.0 else np.zeros_like(v))
+    return j.chain(fs)
 
 
-def jatan2(jy: Jet2, jx: Jet2) -> Jet2:
-    """Two-argument arctangent with full second-order chain rule."""
+def jatan2(jy: Jet, jx: Jet) -> Jet:
+    """Two-argument arctangent; closed chain rule up to degree 2."""
     a, b = jx.value, jy.value  # atan2(b, a)
     value = np.arctan2(b, a)
+    if len(jx.c) == 1 or len(jy.c) == 1:
+        return Jet([value])
     o = min(jx.order, jy.order)
-    if o == 0:
-        return Jet2(value)
     r2 = a * a + b * b
     fa = -b / r2
     fb = a / r2
     grad = fa[:, None] * jx.grad + fb[:, None] * jy.grad
     if o == 1:
-        return Jet2(value, grad)
+        return Jet([value, grad])
     r4 = r2 * r2
     faa = 2 * a * b / r4
     fbb = -2 * a * b / r4
@@ -274,7 +354,17 @@ def jatan2(jy: Jet2, jx: Jet2) -> Jet2:
         + fbb[:, None] * outer(jy.grad, jy.grad)
         + fab[:, None] * sym_outer(jx.grad, jy.grad)
     )
-    return Jet2(value, grad, hess)
+    blocks = [value, grad, hess]
+    if o >= 3:
+        # atan2(y, x) - atan2(b, a) = atan(s), s = (a y - b x)/(a x + b y)
+        # vanishes at the point, where atan^(2m+1) = (-1)^m (2m)! and even ones 0
+        ca, cb = Jet.constant(a, order=o), Jet.constant(b, order=o)
+        s = (ca * jy - cb * jx) / (ca * jx + cb * jy)
+        fs = []
+        for k in range(o + 1):
+            fs.append(np.full(a.shape, k % 2 * (-1.0) ** (k // 2) * factorial(max(k - 1, 0))))
+        blocks += s.chain(fs).c[3:]
+    return Jet(blocks)
 
 
 class JetValue(NamedTuple):

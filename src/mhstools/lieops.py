@@ -4,10 +4,10 @@ For a rigid generator xi = a + b x r the Lie derivative commutes with the
 curl; if moreover the eigenfield coefficient h is constant along xi, Lie
 transport maps solenoidal curl eigenfields to curl eigenfields with the same
 coefficient.  Repeated transport therefore generates an orbit of solutions;
-members are kept as structural expression nodes so later members keep full
-evaluation accuracy (each extra level costs one derivative order, supplied
-by finite differences beyond the exact second-order jets; the orbit depth is
-capped accordingly).
+members are kept as structural expression nodes, so every member is
+evaluated exactly to roundoff: each extra level asks the base field for one
+more derivative order of its Taylor jets.  The depth cap bounds the cost (the
+jets grow with the order), not the accuracy, so every member has one gate.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .symmetry import KillingParams, lie_euclidean
 MAX_ORBIT_DEPTH = 4
 TERMINAL_NULL_REL = 1e-12
 H_SYMMETRY_TOL = 1e-9
-# orbit members beyond one finite-difference level lose accuracy; gates per
-# level follow the measured degradation (one order-of-magnitude safety margin)
-MEMBER_GATES = (1e-7, 1e-7, 1e-6, 1e-2)
+# residual gate of every orbit member: derivatives are exact at every depth
+MEMBER_GATE = 1e-8
 
 
 class HypothesisError(ValueError):
@@ -41,8 +40,8 @@ def commutator_defect(
 ) -> ResidualReport:
     """|Lie_k(curl w) - curl(Lie_k w)| statistics (zero for rigid generators).
 
-    The defect involves third derivatives of w whenever w itself is built
-    from derivative nodes; those are finite-difference limited.
+    The defect takes second derivatives of w, and more when w is itself
+    built from derivative nodes; all are exact, so it reads roundoff.
     """
     div_st, _ = scalar_abs_stats(Divergence(w), samples)
     defect = lie_euclidean(Curl(w), k) - Curl(lie_euclidean(w, k))
@@ -113,7 +112,7 @@ def lie_generate(
 
     Members 0..n are verified against the shared coefficient; a member whose
     magnitude falls below the terminal-null threshold (relative to the base
-    field) ends the orbit, as do residuals blowing past their depth gate.
+    field) ends the orbit, as does a residual above the member gate.
     """
     if not 0 <= n <= MAX_ORBIT_DEPTH:
         raise ValueError(f"orbit depth must be between 0 and {MAX_ORBIT_DEPTH}")
@@ -140,8 +139,7 @@ def lie_generate(
         )
         mag, _ = vector_norm_stats(current, samples)
         null = bool(mag.max < TERMINAL_NULL_REL * max(base_mag.max, 1e-300))
-        gate = MEMBER_GATES[min(i, len(MEMBER_GATES) - 1)] if i > 0 else 1e-8
-        passed = null or rep.passes({"beltrami": gate, "divergence": gate})
+        passed = null or rep.passes({"beltrami": MEMBER_GATE, "divergence": MEMBER_GATE})
         members.append(
             OrbitMember(
                 field=current,
@@ -149,7 +147,7 @@ def lie_generate(
                 report=rep,
                 max_magnitude=mag.max,
                 terminal_null=null,
-                gate=gate,
+                gate=MEMBER_GATE,
                 passed=passed,
             )
         )
@@ -163,7 +161,7 @@ def lie_generate(
 
     orbit = LieOrbit(base=base, generator=k, members=members, truncated=truncated)
     if truncated:
-        orbit.notes["reason"] = "residual exceeded its depth gate"
+        orbit.notes["reason"] = "residual exceeded the member gate"
     return orbit
 
 

@@ -171,7 +171,7 @@ def test_criterion_05_commutator_property():
         k = KillingParams(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(-1, 1, 3)))
         rep = commutator_defect(w, k, ss)
         worst = max(worst, rep.max("commutator"))
-    ok = worst < 1e-5
+    ok = worst < 1e-10
     verdict(5, ok, f"50 random solenoidal fields, max defect {worst:.2e}")
     assert ok
 

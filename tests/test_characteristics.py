@@ -126,6 +126,25 @@ def test_degenerate_crossing_is_exact():
     assert np.abs(vals - (0.5 - targets.points[:, 2])).max() < 1e-12
 
 
+def test_multiple_root_start_is_not_on_the_surface():
+    # |s| = 5e-14 at 2.2e-3 from the plane of s = (z - 0.5)^5: below the
+    # absolute tolerance, but far from the surface relative to |grad s|.
+    # The crossing itself converges only linearly at a five-fold root, which
+    # leaves about 1e-12 (the same at every start), so the bound is 1e-11.
+    prob = CharacteristicsProblem(
+        advecting=vector(0.0, 0.0, 1.0),
+        source=-1.0,
+        initial=InitialCurve(surface=(z - 0.5) ** 5, data=0.0 * y),
+        domain=Domain.box((-2, -2, -2), (2, 2, 3)),
+    )
+    targets = np.array([[0.1, -0.2, 0.5 + 2.2e-3], [0.1, -0.2, 0.5]])
+    results = solve_characteristics(prob, targets)
+    assert all(r.ok for r in results)
+    vals = np.array([r.value for r in results])
+    assert abs(vals[0] - (0.5 - targets[0, 2])) < 1e-11
+    assert vals[1] == 0.0  # exactly on the surface: s = |grad s| = 0
+
+
 def test_mixed_outcomes_in_one_batch():
     # each lane keeps its own outcome: crossings in both directions, a start
     # outside the domain, a failing evaluation and an exhausted budget

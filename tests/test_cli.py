@@ -197,6 +197,30 @@ class TestExport:
         regions = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert regions == {"core", "shell"}
 
+    def test_composite_json_has_region_column(self, capsys):
+        rc, out, _ = run(capsys, "export", "composite", "--grid", "5", "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["command"] == "export" and doc["field"] == "composite"
+        assert doc["columns"] == ["x", "y", "z", "wx", "wy", "wz", "region"]
+        assert len(doc["rows"]) == 5**3
+        assert {row[-1] for row in doc["rows"]} == {"core", "shell"}
+        _, csv_out, _ = run(capsys, "export", "composite", "--grid", "5")
+        csv_rows = [line.split(",") for line in csv_out.strip().split("\n")[1:]]
+        for row, line in zip(doc["rows"], csv_rows):
+            assert row[-1] == line[-1]
+            assert [np.nan if v is None else v for v in row[:6]] == pytest.approx(
+                [float(v) for v in line[:6]], nan_ok=True)
+
+    def test_composite_domain_sets_the_grid(self, capsys):
+        rc, out, _ = run(capsys, "export", "composite", "--grid", "3",
+                         "--domain", "box:-0.2,0.2,-0.2,0.2,-0.2,0.2")
+        assert rc == 0
+        lines = out.strip().split("\n")[1:]
+        pts = np.array([[float(v) for v in line.split(",")[:3]] for line in lines])
+        assert pts.min() == -0.2 and pts.max() == 0.2
+        assert {line.rsplit(",", 1)[1] for line in lines} == {"core"}
+
     def test_grid_values_match_field(self, capsys, tmp_path):
         from mhstools import registry
 

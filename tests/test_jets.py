@@ -1,5 +1,7 @@
-"""Jet arithmetic against closed forms and finite differences, and
-order-respecting evaluation of random expression trees."""
+"""Jet arithmetic against closed forms and finite differences, order-respecting
+evaluation of random expression trees, and their high derivatives against sympy."""
+
+import operator
 
 import numpy as np
 import pytest
@@ -7,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhstools import fields as F
-from mhstools.jets import Jet2, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
+from mhstools.jets import Jet, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt, monomials
 
 
 def _seed(pts):
     pts = np.asarray(pts, dtype=float)
-    return [Jet2.coordinate(pts, i) for i in range(3)]
+    return [Jet.coordinate(pts, i) for i in range(3)]
 
 
 def test_coordinate_jets():
@@ -113,6 +115,11 @@ _PTS = np.vstack([
     [[0.0, 0.5, -0.3], [0.0, 0.0, 0.0]],  # zeros reach the NaN and inf paths
 ])
 _EXPONENTS = (-1.0, 0.0, 1.0, 2.0, 3.0, 0.5, 1.5)
+_T = F.Placeholder("T")
+# univariate expressions for Compose1, over the placeholder T
+_UNIVARIATE = (_T**3, F.sin(_T), F.exp(_T) * _T, F.log(2.0 + _T * _T), 1.0 / (1.5 + F.cos(_T)))
+_GENERATORS = (((0.3, -0.2, 0.5), (0.1, 0.4, -0.3)), ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+               ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 def _arith(sub):
@@ -127,25 +134,49 @@ def _arith(sub):
     )
 
 
+def _vectors(sub):
+    """Vector trees over scalar trees `sub`; derivative nodes may nest."""
+    base = st.one_of(
+        st.tuples(sub, sub, sub).map(lambda t: F.vector(*t)),
+        sub.map(F.grad),
+    )
+    return st.one_of(
+        base,
+        base.map(F.curl),
+        st.tuples(base, base).map(lambda t: F.Lie(*t)),
+        st.tuples(st.sampled_from(_GENERATORS), base)
+        .map(lambda t: F.LieEuclidean(t[0][0], t[0][1], t[1])),
+    )
+
+
+def _nodes(sub):
+    vec = _vectors(sub)
+    return st.one_of(
+        _arith(sub),
+        vec.map(F.divergence),
+        st.tuples(vec, st.sampled_from((0, 1, 2))).map(lambda t: F.VComponent(*t)),
+        st.tuples(st.sampled_from(_UNIVARIATE), sub, st.sampled_from((0, 1)))
+        .map(lambda t: F.Compose1(t[0], t[1], "T", t[2])),
+    )
+
+
 _COORDS = st.sampled_from((F.x, F.y, F.z))
-# coordinates fill half the leaves, so most trees vary from point to point
+# leaves whose derivative blocks are dense, so that the order of floating-point
+# operations inside every block matters
+_ATOMS = st.sampled_from((
+    F.sin(F.x + 0.3 * F.y), F.exp(0.5 * F.z) * F.y, F.cos(F.y * F.z), F.x * F.x * F.y,
+    1.0 / (2.0 + F.x), F.log(2.0 + F.y * F.z), F.sqrt(3.0 + F.z), F.atan2(F.y + 2.0, F.x + 2.0),
+))
+# coordinates and atoms fill most leaves, so most trees vary from point to point
 _LEAVES = st.one_of(
     _COORDS,
-    _COORDS,
+    _ATOMS,
+    _ATOMS,
     st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)).map(F.Const),
     st.floats(-2, 2, allow_nan=False, allow_subnormal=False).map(F.Const),
 )
-# derivative nodes wrap only trees without derivative nodes, so the
-# finite-difference third derivatives of order 2 nest at most twice
-_PLAIN = st.recursive(_LEAVES, _arith, max_leaves=6)
-_VECTORS = st.one_of(
-    st.tuples(_PLAIN, _PLAIN, _PLAIN).map(lambda t: F.vector(*t)),
-    _PLAIN.map(F.grad),
-)
-_VECTORS = st.one_of(_VECTORS, _VECTORS.map(F.curl))
-_SCALARS = st.recursive(
-    st.one_of(_LEAVES, _VECTORS.map(F.divergence)), _arith, max_leaves=10
-)
+_SCALARS = st.recursive(_LEAVES, _nodes, max_leaves=6)
+_VECTORS = _vectors(_SCALARS)
 
 
 def _bits_equal(a, b):
@@ -153,31 +184,137 @@ def _bits_equal(a, b):
     return bool((nan == np.isnan(b)).all()) and a[~nan].tobytes() == b[~nan].tobytes()
 
 
-def _components(f, order):
+def _components(f, order, pts=_PTS):
     """Jets of a scalar or vector tree as a tuple, and the evaluation record."""
-    ctx = F.EvalContext(_PTS.shape[0])
+    ctx = F.EvalContext(pts.shape[0])
     with np.errstate(all="ignore"):
         if isinstance(f, F.ScalarField):
-            return (f.jet(_PTS, order=order, ctx=ctx),), ctx
-        return tuple(f.jets(_PTS, order=order, ctx=ctx)), ctx
+            return (f.jet(pts, order=order, ctx=ctx),), ctx
+        return tuple(f.jets(pts, order=order, ctx=ctx)), ctx
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.one_of(_SCALARS, _SCALARS, _VECTORS))  # two scalar trees per vector tree
 def test_order_respecting_jets(f):
-    # values and gradients come from the same expressions at every order, and
-    # an order-k jet carries nothing above order k
-    c0, ctx0 = _components(f, 0)
-    c1, _ = _components(f, 1)
-    c2, _ = _components(f, 2)
-    for j0, j1, j2 in zip(c0, c1, c2):
-        assert j0.order == 0 and j0.grad is None and j0.hess is None
-        assert j1.order == 1 and j1.hess is None
-        assert j2.order == 2
-        assert _bits_equal(j0.value, j2.value)
-        assert _bits_equal(j1.value, j2.value)
-        assert _bits_equal(j1.grad, j2.grad)
+    # block d is computed the same way at every order: the blocks 0..k of an
+    # order-K jet are bit-identical to an order-k jet, and an order-k jet
+    # carries nothing above order k
+    evals = [_components(f, order) for order in range(5)]
+    for k, (low, _) in enumerate(evals):
+        for j in low:
+            assert j.order == k and len(j.c) == k + 1
+        for high, _ in evals[k + 1:]:
+            for jl, jh in zip(low, high):
+                for d in range(k + 1):
+                    assert _bits_equal(jl.c[d], jh.c[d])
+    c0, ctx0 = evals[0]
     expect = np.stack([j.value for j in c0], axis=1)
     expect[ctx0.invalid] = np.nan
     got = f.values(_PTS)
     assert _bits_equal(got.reshape(expect.shape), expect)
+
+
+# -- third and fourth derivatives against sympy (tests only) ------------------
+
+try:
+    import sympy as sp
+except ImportError:  # sympy is a test-only oracle
+    sp = None
+_XYZ = sp.symbols("x y z", real=True) if sp is not None else None
+_BINARY = {F.Add: operator.add, F.Sub: operator.sub, F.Mul: operator.mul, F.Div: operator.truediv}
+
+
+def _rational(v):
+    return sp.Integer(int(v)) if float(v).is_integer() else sp.Rational(float(v))
+
+
+def _sym(node):
+    """Sympy expression (scalar) or 3-tuple (vector) of a field tree."""
+    if isinstance(node, F.Const):
+        return _rational(node.c)
+    if isinstance(node, F.Coord):
+        return _XYZ[node.axis]
+    if isinstance(node, F.Placeholder):
+        return sp.Symbol(node.name, real=True)
+    if type(node) in _BINARY:
+        return _BINARY[type(node)](_sym(node.a), _sym(node.b))
+    if isinstance(node, F.Neg):
+        return -_sym(node.a)
+    if isinstance(node, F.Pow):
+        return _sym(node.base) ** _rational(node.expo)
+    for cls, fn in ((F.Exp, sp.exp), (F.Log, sp.log), (F.Sin, sp.sin), (F.Cos, sp.cos),
+                    (F.Sqrt, sp.sqrt)):
+        if isinstance(node, cls):
+            return fn(_sym(node.a))
+    if isinstance(node, F.Atan2):
+        return sp.atan2(_sym(node.ynode), _sym(node.xnode))
+    if isinstance(node, F.Divergence):
+        w = _sym(node.w)
+        return sum(sp.diff(w[i], _XYZ[i]) for i in range(3))
+    if isinstance(node, F.VComponent):
+        return _sym(node.w)[node.axis]
+    if isinstance(node, F.Compose1):
+        t = sp.Symbol(node.var, real=True)
+        g = sp.diff(_sym(node.gexpr), t, node.deriv)
+        return g.subs(t, _sym(node.inner))
+    if isinstance(node, F.FromComponents):
+        return (_sym(node.fx), _sym(node.fy), _sym(node.fz))
+    if isinstance(node, F.Gradient):
+        f = _sym(node.f)
+        return tuple(sp.diff(f, v) for v in _XYZ)
+    if isinstance(node, F.Curl):
+        w = _sym(node.w)
+        x, y, z = _XYZ
+        return (sp.diff(w[2], y) - sp.diff(w[1], z), sp.diff(w[0], z) - sp.diff(w[2], x),
+                sp.diff(w[1], x) - sp.diff(w[0], y))
+    if isinstance(node, F.Lie):
+        xi, w = _sym(node.xi), _sym(node.w)
+        return tuple(sum(xi[i] * sp.diff(w[k], _XYZ[i]) - w[i] * sp.diff(xi[k], _XYZ[i])
+                         for i in range(3)) for k in range(3))
+    if isinstance(node, F.LieEuclidean):
+        a = [_rational(v) for v in node.a]
+        b = sp.Matrix([_rational(v) for v in node.b])
+        xi = sp.Matrix(a) + b.cross(sp.Matrix(_XYZ))
+        w = _sym(node.w)
+        bw = b.cross(sp.Matrix(w))
+        return tuple(sum(xi[i] * sp.diff(w[k], _XYZ[i]) for i in range(3)) - bw[k]
+                     for k in range(3))
+    raise TypeError(f"no sympy form for {node!r}")
+
+
+# small trees keep the symbolic fourth derivatives cheap
+_SMALL = st.recursive(st.one_of(_ATOMS, _COORDS), _nodes, max_leaves=3)
+_ORACLE_PTS = np.array([[0.31, -0.47, 0.83], [-0.62, 0.25, 0.44]])
+
+
+def _derivatives(expr, degrees=(3, 4)):
+    """Symbolic derivatives of expr for the columns of the given blocks."""
+    der = {(): expr}
+    for d in range(1, max(degrees) + 1):
+        for axes in monomials(d):
+            der[axes] = sp.diff(der[axes[:-1]], _XYZ[axes[-1]])
+    return [der[axes] for d in degrees for axes in monomials(d)]
+
+
+@pytest.mark.skipif(sp is None, reason="sympy is not installed")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_SMALL)
+def test_third_and_fourth_derivatives_match_sympy(f):
+    import mpmath
+
+    (j,), ctx = _components(f, 4, _ORACLE_PTS)
+    got = np.hstack([j.c[3], j.c[4]])
+    reference = sp.lambdify(_XYZ, _derivatives(_sym(f)), "mpmath")
+    for p, pt in enumerate(_ORACLE_PTS):
+        if ctx.invalid[p]:
+            continue
+        try:
+            with mpmath.workdps(30):
+                refs = reference(*(mpmath.mpf(float(v)) for v in pt))
+        except ZeroDivisionError:
+            continue
+        for col, ref in enumerate(refs):
+            if isinstance(ref, mpmath.mpc) or not mpmath.isfinite(ref) or abs(ref) > 1e8:
+                continue
+            ref = float(ref)
+            assert abs(got[p, col] - ref) <= 1e-9 * max(1.0, abs(ref)), (col, got[p, col], ref)
