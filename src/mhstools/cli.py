@@ -428,12 +428,12 @@ def cmd_characteristics(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, samples=1000):
+def _add_common(p, samples=1000, formats=("json", "text")):
     p.add_argument("--samples", type=int, default=samples)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generator", choices=("halton", "random"), default="halton")
     p.add_argument("--domain", default=None, help="box:...|ball:...|sshell:...|cshell:...")
-    p.add_argument("--format", choices=("json", "text", "csv"), default="text")
+    p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", default=None)
 
 
@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core", default="w4_1")
     p.add_argument("--shell", default="exp_x3")
     p.add_argument("--eps", type=float, default=0.4)
-    _add_common(p)
+    _add_common(p, formats=("json", "text", "csv"))
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("characteristics", help="transport solver vs closed forms")

@@ -286,3 +286,21 @@ class TestDeterminism:
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "w4_1"),
+        ("symmetry", "exp_x3"),
+        ("orbit", "zsq_x3", "--gen", "rot-z"),
+        ("gs", "--chart", "translational", "--theta", "x"),
+        ("ggse",),
+        ("composite",),
+        ("characteristics", "w4_1"),
+    ],
+)
+def test_csv_format_is_for_export_only(capsys, argv):
+    # only export writes CSV; elsewhere --format csv would print text
+    assert main([*argv, "--format", "csv"]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
