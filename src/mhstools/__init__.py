@@ -41,22 +41,18 @@ from .composite import (
     assemble,
     verify_composite,
 )
-from .domains import Domain, Exclusion, SampleSet, sample
+from .domains import Domain, SampleSet, sample
 from .fields import (
     EvaluationError,
     Jet,
-    JetValue,
     ScalarField,
     VectorField,
     atan2,
-    characteristic_polynomial,
     cos,
     cross,
     curl,
-    div,
     divergence,
     dot,
-    eval_jet,
     exp,
     grad,
     lie_derivative,
@@ -79,7 +75,6 @@ from .gradshafranov import (
     gs_problem_from_plane,
     gs_reconstruct,
     gs_residual,
-    path_integrate,
 )
 from .lieops import (
     HypothesisError,
@@ -93,7 +88,6 @@ from .reports import CheckStats, ResidualReport
 from .symmetry import (
     KillingParams,
     KillingReport,
-    LocalSymmetrySpec,
     alpha_from_characteristics,
     example_symmetry,
     killing_scan,

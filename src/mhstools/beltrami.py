@@ -106,12 +106,7 @@ class BeltramiRecord:
                         seed: int = 0, generator: str = "halton") -> ResidualReport:
         if samples is None:
             samples = sample(self.domain, n, generator=generator, seed=seed)
-        res = F.Curl(self.field) - F.VScale(self.h, self.field)
-        return residual_report(
-            self.name or "beltrami",
-            samples,
-            {"beltrami": res, "divergence": Divergence(self.field)},
-        )
+        return beltrami_residual(self.field, self.h, samples, label=self.name or "beltrami")
 
     def helicity_density(self) -> ScalarField:
         return Dot(self.field, F.Curl(self.field))
@@ -130,12 +125,11 @@ class BeltramiRecord:
         }
 
 
-def beltrami_residual(w: VectorField, h: ScalarField, samples: SampleSet) -> ResidualReport:
+def beltrami_residual(w: VectorField, h: ScalarField, samples: SampleSet,
+                      label: str = "beltrami") -> ResidualReport:
     """|curl w - h w| and |div w| statistics."""
     res = F.Curl(w) - F.VScale(h, w)
-    return residual_report(
-        "beltrami", samples, {"beltrami": res, "divergence": Divergence(w)}
-    )
+    return residual_report(label, samples, {"beltrami": res, "divergence": Divergence(w)})
 
 
 def from_harmonic_pair(

@@ -40,7 +40,6 @@ class CharacteristicsProblem:
 
 @dataclass(frozen=True)
 class CharacteristicResult:
-    point: np.ndarray
     value: float
     error_estimate: float
     ok: bool
@@ -288,9 +287,8 @@ def solve_characteristics(
     code = np.where(ok, _OK, np.where(code != _OK, code, _DATA_FAILED))
 
     return [
-        CharacteristicResult(pts[i].copy(), float(value[i]), float(err[i]), True)
+        CharacteristicResult(float(value[i]), float(err[i]), True)
         if ok[i]
-        else CharacteristicResult(pts[i].copy(), float("nan"), float("nan"), False,
-                                  _MESSAGES[code[i]])
+        else CharacteristicResult(float("nan"), float("nan"), False, _MESSAGES[code[i]])
         for i in range(pts.shape[0])
     ]

@@ -18,7 +18,7 @@ from . import beltrami, clebsch, registry
 from .beltrami import beltrami_residual, verify_h_invariance
 from .characteristics import CharacteristicsProblem, InitialCurve, solve_characteristics
 from .domains import Domain, sample
-from .fields import EvaluationError, vector, x, y, z
+from .fields import EvaluationError, vector, y, z
 from .fields import log as flog, sin as fsin
 from .gradshafranov import example_decomposition, ggse_check, gs_problem_from_plane, gs_residual
 from .lieops import lie_generate
@@ -67,6 +67,12 @@ def _parse_domain(spec: str) -> Domain:
         f"bad domain spec {spec!r}; use box:x0,x1,y0,y1,z0,z1 | ball:cx,cy,cz,r "
         f"| sshell:cx,cy,cz,rin,rout | cshell:rin,rout,zmin,zmax"
     )
+
+
+def _samples(args, default: Domain):
+    """--samples points from --generator and --seed on --domain, else on `default`."""
+    domain = _parse_domain(args.domain) if args.domain else default
+    return sample(domain, args.samples, generator=args.generator, seed=args.seed)
 
 
 def _parse_generator(spec: str) -> KillingParams:
@@ -189,8 +195,9 @@ def cmd_catalog(args) -> int:
 
 def cmd_verify(args) -> int:
     entry = registry.get(args.name)
-    domain = _parse_domain(args.domain) if args.domain else entry.domain
-    samples = sample(domain, args.samples, generator=args.generator, seed=args.seed)
+    if args.h and entry.kind != "beltrami":
+        raise UsageError("--h applies to curl-eigenfield entries")
+    samples = _samples(args, entry.domain)
     if entry.kind == "beltrami":
         h = parse_scalar(args.h) if args.h else entry.h
         rep = beltrami_residual(entry.field, h, samples)
@@ -253,13 +260,13 @@ def cmd_orbit(args) -> int:
     if entry.kind != "beltrami":
         raise UsageError("orbit generation needs a curl-eigenfield catalog entry")
     gen = _parse_generator(args.gen)
-    orbit = lie_generate(entry.record, gen, args.n, n_samples=args.samples)
+    orbit = lie_generate(entry.record, gen, args.n, samples=_samples(args, entry.domain))
     passed = all(m.passed for m in orbit.members) and not orbit.truncated
     doc = {
         "schema": SCHEMA,
         "command": "orbit",
         "field": args.name,
-        "config": _config_doc(args, ("gen", "n", "samples", "seed")),
+        "config": _config_doc(args, ("gen", "n", "samples", "seed", "domain")),
         "orbit": orbit.to_dict(),
         "passed": bool(passed),
     }
@@ -277,9 +284,7 @@ def cmd_gs(args) -> int:
     w3 = parse_univariate(args.w3)
     chi = parse_univariate(args.chi)
     prob = gs_problem_from_plane(args.chart, theta, w3=w3, chi=chi)
-    domain = _parse_domain(args.domain) if args.domain else prob.chart.default_domain()
-    samples = sample(domain, args.samples, generator=args.generator, seed=args.seed)
-    rep = gs_residual(prob, samples)
+    rep = gs_residual(prob, _samples(args, prob.chart.default_domain()))
     doc = {
         "schema": SCHEMA,
         "command": "gs",
@@ -295,9 +300,7 @@ def cmd_gs(args) -> int:
 
 def cmd_ggse(args) -> int:
     data, default_domain = example_decomposition(args.name)
-    domain = _parse_domain(args.domain) if args.domain else default_domain
-    samples = sample(domain, args.samples, generator=args.generator, seed=args.seed)
-    rep = ggse_check(data, samples)
+    rep = ggse_check(data, _samples(args, default_domain))
     gates = {"normalization": 1e-6, "ggse_lhs": 1e-6}
     passed = rep.passes(gates)
     doc = {
@@ -428,13 +431,26 @@ def cmd_characteristics(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, samples=1000, formats=("json", "text")):
+def _add_samples(p, samples):
     p.add_argument("--samples", type=int, default=samples)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--generator", choices=("halton", "random"), default="halton")
+
+
+def _add_domain(p):
     p.add_argument("--domain", default=None, help="box:...|ball:...|sshell:...|cshell:...")
+
+
+def _add_output(p, formats=("json", "text")):
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", default=None)
+
+
+def _add_common(p, samples=1000):
+    """The flags of a command that samples a domain of the user's choice (see `_samples`)."""
+    _add_samples(p, samples)
+    p.add_argument("--generator", choices=("halton", "random"), default="halton")
+    _add_domain(p)
+    _add_output(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,7 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shell", default="exp_x3")
     p.add_argument("--eps", type=float, default=0.4)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=100_000)
-    _add_common(p)
+    _add_samples(p, 1000)
+    _add_output(p)
     p.set_defaults(fn=cmd_composite)
 
     p = sub.add_parser("export", help="sample a field on a regular grid")
@@ -496,12 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core", default="w4_1")
     p.add_argument("--shell", default="exp_x3")
     p.add_argument("--eps", type=float, default=0.4)
-    _add_common(p, formats=("json", "text", "csv"))
+    _add_domain(p)
+    _add_output(p, formats=("json", "text", "csv"))
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("characteristics", help="transport solver vs closed forms")
     p.add_argument("name")
-    _add_common(p, samples=200)
+    _add_samples(p, 200)
+    _add_output(p)
     p.set_defaults(fn=cmd_characteristics)
 
     return ap

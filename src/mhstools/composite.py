@@ -95,7 +95,6 @@ def assemble(
     vals = shell_field.field.values(shell_probe.points)
     finite = np.isfinite(vals).all(axis=1)
     if not finite.all() or not declared.all():
-        n_bad = int((~finite).sum() + (~(declared | ~finite)).sum())
         raise AssemblyError(
             f"shell field invalid on {int((~(declared & finite)).sum())} of "
             f"{n_probe} shell probe points (singular set inside the shell?)"

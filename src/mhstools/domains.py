@@ -1,4 +1,4 @@
-"""Sampling regions: boxes, balls, shells, with optional exclusions.
+"""Sampling regions: boxes, balls and shells.
 
 Sample sets are reproducible from (generator tag, seed, count, domain); the
 low-discrepancy generator is the Halton sequence in bases 2, 3 and 5 (radical
@@ -15,44 +15,8 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Exclusion:
-    """Closed-form region removed from a domain.
-
-    kinds: "cylinder_z" (distance to the z-axis below `radius`),
-    "ball" (|p - center| < radius), "slab_z" (|z - z0| < half_width).
-    """
-
-    kind: str
-    radius: float = 0.0
-    center: tuple = (0.0, 0.0, 0.0)
-    z0: float = 0.0
-    half_width: float = 0.0
-
-    def mask(self, pts: np.ndarray) -> np.ndarray:
-        if self.kind == "cylinder_z":
-            return np.hypot(pts[:, 0], pts[:, 1]) < self.radius
-        if self.kind == "ball":
-            return np.linalg.norm(pts - np.asarray(self.center), axis=1) < self.radius
-        if self.kind == "slab_z":
-            return np.abs(pts[:, 2] - self.z0) < self.half_width
-        raise ValueError(f"unknown exclusion kind {self.kind!r}")
-
-    def to_dict(self):
-        d = {"kind": self.kind}
-        if self.kind == "cylinder_z":
-            d["radius"] = self.radius
-        elif self.kind == "ball":
-            d["center"] = list(self.center)
-            d["radius"] = self.radius
-        else:
-            d["z0"] = self.z0
-            d["half_width"] = self.half_width
-        return d
-
-
-@dataclass(frozen=True)
 class Domain:
-    """Axis-aligned box, ball, or shell, minus an optional exclusion."""
+    """Axis-aligned box, ball, or shell."""
 
     shape: str
     lo: tuple = (0.0, 0.0, 0.0)
@@ -62,27 +26,24 @@ class Domain:
     r_outer: float = 0.0
     z_min: float = 0.0
     z_max: float = 0.0
-    exclusion: Exclusion | None = None
 
     # constructors ----------------------------------------------------------
 
     @staticmethod
-    def box(lo, hi, exclusion=None) -> "Domain":
+    def box(lo, hi) -> "Domain":
         lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
         if not all(a < b for a, b in zip(lo, hi)):
             raise ValueError("box needs lo < hi componentwise")
-        return Domain("box", lo=lo, hi=hi, exclusion=exclusion)
+        return Domain("box", lo=lo, hi=hi)
 
     @staticmethod
-    def ball(center, radius, exclusion=None) -> "Domain":
+    def ball(center, radius) -> "Domain":
         if radius <= 0:
             raise ValueError("ball radius must be positive")
-        return Domain(
-            "ball", center=tuple(map(float, center)), r_outer=float(radius), exclusion=exclusion
-        )
+        return Domain("ball", center=tuple(map(float, center)), r_outer=float(radius))
 
     @staticmethod
-    def spherical_shell(center, r_inner, r_outer, exclusion=None) -> "Domain":
+    def spherical_shell(center, r_inner, r_outer) -> "Domain":
         if not 0 <= r_inner < r_outer:
             raise ValueError("need 0 <= r_inner < r_outer")
         return Domain(
@@ -90,11 +51,10 @@ class Domain:
             center=tuple(map(float, center)),
             r_inner=float(r_inner),
             r_outer=float(r_outer),
-            exclusion=exclusion,
         )
 
     @staticmethod
-    def cylindrical_shell(r_inner, r_outer, z_min, z_max, exclusion=None) -> "Domain":
+    def cylindrical_shell(r_inner, r_outer, z_min, z_max) -> "Domain":
         if not (0 <= r_inner < r_outer and z_min < z_max):
             raise ValueError("bad cylindrical shell parameters")
         return Domain(
@@ -103,7 +63,6 @@ class Domain:
             r_outer=float(r_outer),
             z_min=float(z_min),
             z_max=float(z_max),
-            exclusion=exclusion,
         )
 
     # geometry ---------------------------------------------------------------
@@ -144,12 +103,10 @@ class Domain:
             )
         else:
             raise ValueError(f"unknown shape {self.shape!r}")
-        if self.exclusion is not None:
-            ok &= ~self.exclusion.mask(pts)
         return ok
 
     def volume(self) -> float:
-        """Volume of the region without the exclusion."""
+        """Volume of the region."""
         if self.shape == "box":
             lo, hi = self.bounding_box()
             return float(np.prod(hi - lo))
@@ -173,8 +130,6 @@ class Domain:
         elif self.shape == "cylindrical_shell":
             d["r_inner"], d["r_outer"] = self.r_inner, self.r_outer
             d["z_min"], d["z_max"] = self.z_min, self.z_max
-        if self.exclusion is not None:
-            d["exclusion"] = self.exclusion.to_dict()
         return d
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, JetValue, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
+from .jets import Jet, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
 
 _AXES = "xyz"
 
@@ -703,32 +703,3 @@ def divergence(w: VectorField) -> ScalarField:
 def lie_derivative(w: VectorField, xi: VectorField) -> VectorField:
     """Lie derivative of w along xi, as a structural node."""
     return Lie(xi, w)
-
-
-# single-point conveniences ---------------------------------------------------
-
-
-def eval_jet(f: ScalarField, p) -> JetValue:
-    """Exact value, gradient and Hessian of a scalar field at one point."""
-    pts = as_points(p)
-    ctx = EvalContext(pts.shape[0])
-    with np.errstate(all="ignore"):
-        j = f.jet(pts, order=2, ctx=ctx)
-    _raise_if_invalid(ctx, np.concatenate([j.value, j.grad.ravel(), j.hess.ravel()]))
-    return JetValue(float(j.value[0]), j.grad[0].copy(), j.hessian()[0])
-
-
-def div(w: VectorField, p) -> float:
-    """Divergence of a vector field at one point."""
-    return Divergence(w)(p)
-
-
-def characteristic_polynomial(w_at_p, phi_grad) -> float:
-    """Symbol of the equilibrium system: |grad phi|^2 (w . grad phi)^2.
-
-    Vanishing marks a characteristic surface; the first factor is the
-    elliptic part, the squared advective factor the (double) hyperbolic one.
-    """
-    w = np.asarray(w_at_p, dtype=float)
-    g = np.asarray(phi_grad, dtype=float)
-    return float(g.dot(g) * w.dot(g) ** 2)

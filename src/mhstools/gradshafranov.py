@@ -70,10 +70,6 @@ class SymmetricChart:
             raise ValueError(f"unknown chart kind {self.kind!r}")
 
     @property
-    def jacobian(self) -> float:
-        return 1.0
-
-    @property
     def g33(self) -> ScalarField:
         if self.kind == "translational":
             return F.Const(1.0)
@@ -270,32 +266,3 @@ def example_decomposition(name: str) -> tuple[GGSData, Domain]:
     phi = x**2 / 2 - y**2 / 2 + x * _exp(-z) * (1 + z) + z + _exp(-2 * z) * (z / 2 + 0.25)
     data = GGSData(w=sol.w, theta=theta, psi=psi, x1=x1, x2=x2, phi=phi)
     return data, Domain.box((-1.0, -1.0, 0.2), (1.0, 1.0, 1.0))
-
-
-def path_integrate(field: VectorField, base, target, order=(0, 1, 2), n_sub: int = 1000):
-    """Line integral of a vector field along axis-parallel segments.
-
-    Integrates with composite Simpson on each segment; `order` gives the
-    sequence of axes stepped from base to target.  Used to recover the
-    potential Phi from w - Psi grad Theta and to check path independence.
-    """
-    base = np.asarray(base, dtype=float)
-    target = np.asarray(target, dtype=float)
-    total = 0.0
-    current = base.copy()
-    for axis in order:
-        end = current.copy()
-        end[axis] = target[axis]
-        seg = end - current
-        length = abs(seg[axis])
-        if length > 0:
-            m = max(4, 2 * int(np.ceil(length / (2 * 1e-3))))
-            t = np.linspace(0.0, 1.0, m + 1)
-            pts = current[None, :] + t[:, None] * seg[None, :]
-            vals = field.values(pts)[:, axis] * seg[axis]
-            weights = np.ones(m + 1)
-            weights[1:-1:2] = 4.0
-            weights[2:-1:2] = 2.0
-            total += float((weights * vals).sum() * (1.0 / (3.0 * m)))
-        current = end
-    return total

@@ -24,7 +24,6 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, repeat
 from math import comb, factorial, prod
-from typing import NamedTuple
 
 import numpy as np
 
@@ -365,11 +364,3 @@ def jatan2(jy: Jet, jx: Jet) -> Jet:
             fs.append(np.full(a.shape, k % 2 * (-1.0) ** (k // 2) * factorial(max(k - 1, 0))))
         blocks += s.chain(fs).c[3:]
     return Jet(blocks)
-
-
-class JetValue(NamedTuple):
-    """Single-point jet: value, gradient (3,), full Hessian (3, 3)."""
-
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
-from . import fields as F
-from .beltrami import BeltramiRecord
+from .beltrami import BeltramiRecord, beltrami_residual
 from .checks import residual_report, scalar_abs_stats, vector_norm_stats
 from .domains import SampleSet, sample
 from .fields import Curl, Divergence, Dot, Gradient, ScalarField, VectorField
@@ -88,9 +85,6 @@ class LieOrbit:
     truncated: bool = False
     notes: dict = dc_field(default_factory=dict)
 
-    def fields(self) -> list[VectorField]:
-        return [m.field for m in self.members]
-
     def to_dict(self):
         return {
             "base": self.base.name or "anonymous",
@@ -106,18 +100,18 @@ def lie_generate(
     k: KillingParams,
     n: int,
     samples: SampleSet | None = None,
-    n_samples: int = 400,
 ) -> LieOrbit:
     """Orbit of repeated Lie transport along a coefficient-preserving generator.
 
     Members 0..n are verified against the shared coefficient; a member whose
     magnitude falls below the terminal-null threshold (relative to the base
-    field) ends the orbit, as does a residual above the member gate.
+    field) ends the orbit, as does a residual above the member gate.  Without
+    `samples`, the members are checked on 400 Halton points of the base domain.
     """
     if not 0 <= n <= MAX_ORBIT_DEPTH:
         raise ValueError(f"orbit depth must be between 0 and {MAX_ORBIT_DEPTH}")
     if samples is None:
-        samples = sample(base.domain, n_samples)
+        samples = sample(base.domain, 400)
 
     hk = h_symmetry_check(base.h, k, samples)
     if not hk.passes({"h_symmetry": H_SYMMETRY_TOL}):
@@ -131,12 +125,7 @@ def lie_generate(
     current = base.field
     truncated = False
     for i in range(n + 1):
-        res = Curl(current) - F.VScale(base.h, current)
-        rep = residual_report(
-            f"orbit_member_{i}",
-            samples,
-            {"beltrami": res, "divergence": Divergence(current)},
-        )
+        rep = beltrami_residual(current, base.h, samples, label=f"orbit_member_{i}")
         mag, _ = vector_norm_stats(current, samples)
         null = bool(mag.max < TERMINAL_NULL_REL * max(base_mag.max, 1e-300))
         passed = null or rep.passes({"beltrami": MEMBER_GATE, "divergence": MEMBER_GATE})
@@ -163,36 +152,3 @@ def lie_generate(
     if truncated:
         orbit.notes["reason"] = "residual exceeded the member gate"
     return orbit
-
-
-def isometry_pullback_values(
-    w: VectorField, k: KillingParams, eps: float, pts: np.ndarray
-) -> np.ndarray:
-    """Values of the finite-isometry transport of w at parameter eps.
-
-    For the rigid flow of xi = a + b x r the pullback is
-    R(-eps) w(R(eps) p + t(eps)); the first-order term in eps is the Lie
-    derivative, which the orbit machinery uses infinitesimally.
-    """
-    a = np.asarray(k.a)
-    b = np.asarray(k.b)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        moved = pts + eps * a
-        return w.values(moved)
-    if np.linalg.norm(a) > 0:
-        raise ValueError("pullback supports pure translations or pure rotations")
-    axis = b / nb
-    ang = eps * nb
-
-    def rot(p, s):
-        c, sn = np.cos(s), np.sin(s)
-        return (
-            c * p
-            + sn * np.cross(np.broadcast_to(axis, p.shape), p)
-            + (1 - c) * (p @ axis)[:, None] * axis[None, :]
-        )
-
-    moved = rot(pts, ang)
-    vals = w.values(moved)
-    return rot(vals, -ang)

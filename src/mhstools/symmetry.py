@@ -207,23 +207,14 @@ def killing_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalSymmetrySpec:
-    """A symmetry direction expressed via an adapted chart, with provenance."""
-
-    xi: VectorField
-    chart: tuple[ScalarField, ScalarField, ScalarField]
-    free_functions: dict
-
-
 def verify_local_symmetry(
-    w: VectorField, spec: LocalSymmetrySpec, samples: SampleSet
+    w: VectorField, xi: VectorField, samples: SampleSet
 ) -> ResidualReport:
     """|Lie(xi) w| and |div xi| statistics on the chart's validity region."""
     return residual_report(
         "local_symmetry",
         samples,
-        {"lie_derivative": F.Lie(spec.xi, w), "div_xi": Divergence(spec.xi)},
+        {"lie_derivative": F.Lie(xi, w), "div_xi": Divergence(xi)},
     )
 
 
@@ -244,7 +235,7 @@ def example_symmetry(
     p: ScalarField,
     g: ScalarField,
     q: ScalarField | None = None,
-) -> LocalSymmetrySpec:
+) -> VectorField:
     """Symmetry direction of a catalog curl eigenfield from free functions.
 
     p is an expression in the placeholders (t, s); g (and q, cylindrical
@@ -258,7 +249,6 @@ def example_symmetry(
         alpha = _bind(p, t, s_inv)
         beta = (_gprime(g, t) + alpha * cos(t)) / sin(t)
         xi: VectorField = vector(alpha, beta, 0.0)
-        chart = (x, y, z)
     elif name == "cylindrical":
         t = z
         theta = atan2(y, x)
@@ -277,7 +267,6 @@ def example_symmetry(
             F.Const(-1.0),
             F.VScale(alpha, vector(-y, x, 0.0)) + F.VScale(beta, vector(x, y, 0.0)),
         )
-        chart = (theta, logr, z)
     elif name in ("example3", "zsq_x3"):
         ell = exp(x) * sin(y)
         m = -exp(x) * cos(y)
@@ -293,13 +282,9 @@ def example_symmetry(
         d_m = F.VScale(exp(-x), vector(-cos(y), sin(y), 0.0))
         # h = 2z on the z > 0 branch of the angle t = z^2
         xi = F.VScale(2.0 * z, F.VScale(alpha, d_ell) + F.VScale(beta, d_m))
-        chart = (ell, m, t)
     else:
         raise KeyError(f"no local-symmetry construction for {name!r}")
-    free = {"p": p.render(), "g": g.render()}
-    if q is not None:
-        free["q"] = q.render()
-    return LocalSymmetrySpec(xi=xi, chart=chart, free_functions=free)
+    return xi
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,12 @@ class TestVerify:
         assert rc == 1
         assert "FAILED" in out
 
+    def test_coefficient_override_needs_an_eigenfield(self, capsys):
+        rc, out, err = run(capsys, "verify", "w4_1", "--h", "z^2")
+        assert rc == 2
+        assert out == ""
+        assert "--h applies to curl-eigenfield entries" in err
+
     def test_unknown_field(self, capsys):
         rc, _, err = run(capsys, "verify", "missing_field")
         assert rc == 2
@@ -109,6 +115,28 @@ class TestOrbit:
     def test_bad_generator(self, capsys):
         rc, _, err = run(capsys, "orbit", "zsq_x3", "--gen", "spin-w", "--n", "1")
         assert rc == 2
+
+    def test_seed_and_generator_change_the_samples(self, capsys):
+        argv = ("orbit", "zsq_x3", "--gen", "rot-z", "--n", "1", "--format", "json")
+        _, out, _ = run(capsys, *argv)
+        default = json.loads(out)
+        rc, out, _ = run(capsys, *argv, "--seed", "7", "--generator", "random")
+        seeded = json.loads(out)
+        assert rc == 0 and seeded["passed"] is True
+        assert seeded["config"]["seed"] == 7
+        for key in ("beltrami_max", "max_magnitude"):
+            got = [m[key] for m in seeded["orbit"]["members"]]
+            assert got != [m[key] for m in default["orbit"]["members"]], key
+
+    def test_domain_sets_the_samples(self, capsys):
+        argv = ("orbit", "zsq_x3", "--gen", "rot-z", "--n", "1", "--format", "json")
+        _, out, _ = run(capsys, *argv)
+        default = json.loads(out)
+        _, out, _ = run(capsys, *argv, "--domain", "box:-0.3,0.3,-0.3,0.3,0.8,1.2")
+        boxed = json.loads(out)
+        assert boxed["config"]["domain"] == "box:-0.3,0.3,-0.3,0.3,0.8,1.2"
+        assert (boxed["orbit"]["members"][0]["max_magnitude"]
+                < default["orbit"]["members"][0]["max_magnitude"])
 
 
 class TestGs:
@@ -304,3 +332,20 @@ def test_csv_format_is_for_export_only(capsys, argv):
     # only export writes CSV; elsewhere --format csv would print text
     assert main([*argv, "--format", "csv"]) == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("composite", "--generator", "random"),
+        ("composite", "--domain", "ball:0,0,0,1"),
+        ("export", "exp_x3", "--seed", "3"),
+        ("export", "exp_x3", "--samples", "10"),
+        ("export", "exp_x3", "--generator", "random"),
+        ("characteristics", "w4_1", "--generator", "random"),
+        ("characteristics", "w4_1", "--domain", "ball:0,0,0,1"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    assert main(list(argv)) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Domains, exclusions, and reproducible sampling."""
+"""Domains and reproducible sampling."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mhstools
-from mhstools.domains import Domain, Exclusion, _halton, fibonacci_sphere, sample
+from mhstools.domains import Domain, _halton, fibonacci_sphere, sample
 
 
 class TestDomains:
@@ -28,13 +28,6 @@ class TestDomains:
         c = Domain.cylindrical_shell(0.5, 1.5, -1.0, 1.0)
         assert c.contains(np.array([[1.0, 0, 0.5]]))[0]
         assert not c.contains(np.array([[0.1, 0, 0.5]]))[0]
-
-    def test_exclusion(self):
-        d = Domain.box(
-            (-1, -1, -1), (1, 1, 1), exclusion=Exclusion("cylinder_z", radius=0.3)
-        )
-        assert not d.contains(np.array([[0.0, 0.0, 0.5]]))[0]
-        assert d.contains(np.array([[0.8, 0.0, 0.5]]))[0]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -111,11 +104,6 @@ class TestSampling:
         ss = sample(Domain.ball((0, 0, 0), 1.0), 10)
         with pytest.raises(ValueError):
             ss.points[0, 0] = 99.0
-
-    def test_exclusion_respected_by_sampler(self):
-        d = Domain.ball((0, 0, 0), 1.0, exclusion=Exclusion("ball", center=(0, 0, 0), radius=0.5))
-        ss = sample(d, 300)
-        assert (np.linalg.norm(ss.points, axis=1) >= 0.5).all()
 
 
 def test_halton_matches_scipy_bit_for_bit():

@@ -11,12 +11,42 @@ from mhstools.lieops import (
     HypothesisError,
     commutator_defect,
     h_symmetry_check,
-    isometry_pullback_values,
     lie_generate,
 )
 from mhstools.symmetry import KillingParams, killing_scan, lie_euclidean
 
 BALL = Domain.ball((0.0, 0.0, 0.0), 1.0)
+
+
+def isometry_pullback_values(w, k, eps, pts):
+    """Values of the finite-isometry transport of w at parameter eps.
+
+    For the rigid flow of xi = a + b x r the pullback is
+    R(-eps) w(R(eps) p + t(eps)); the first-order term in eps is the Lie
+    derivative, which the orbit machinery uses infinitesimally.
+    """
+    a = np.asarray(k.a)
+    b = np.asarray(k.b)
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        moved = pts + eps * a
+        return w.values(moved)
+    if np.linalg.norm(a) > 0:
+        raise ValueError("pullback supports pure translations or pure rotations")
+    axis = b / nb
+    ang = eps * nb
+
+    def rot(p, s):
+        c, sn = np.cos(s), np.sin(s)
+        return (
+            c * p
+            + sn * np.cross(np.broadcast_to(axis, p.shape), p)
+            + (1 - c) * (p @ axis)[:, None] * axis[None, :]
+        )
+
+    moved = rot(pts, ang)
+    vals = w.values(moved)
+    return rot(vals, -ang)
 
 
 class TestCommutator:

@@ -274,52 +274,52 @@ class TestLocalSymmetries:
         dom = Domain.box((-1, -1, 0.4), (1, 1, 1.3))
         ss = sample(dom, 400)
         # (p, g) = (1, -sin t) gives the x-translation
-        spec = example_symmetry("abc_minimal", p=0.0 * S + 1.0, g=-sin(T))
-        np.testing.assert_allclose(spec.xi((0.3, 0.2, 0.8)), [1, 0, 0], atol=1e-14)
-        rep = verify_local_symmetry(w, spec, ss)
+        xi = example_symmetry("abc_minimal", p=0.0 * S + 1.0, g=-sin(T))
+        np.testing.assert_allclose(xi((0.3, 0.2, 0.8)), [1, 0, 0], atol=1e-14)
+        rep = verify_local_symmetry(w, xi, ss)
         assert rep.max("lie_derivative") == 0.0
         # (p, g) = (0, -cos t) gives the y-translation
-        spec2 = example_symmetry("abc_minimal", p=0.0 * S, g=-cos(T))
-        np.testing.assert_allclose(spec2.xi((0.3, 0.2, 0.8)), [0, 1, 0], atol=1e-14)
+        xi2 = example_symmetry("abc_minimal", p=0.0 * S, g=-cos(T))
+        np.testing.assert_allclose(xi2((0.3, 0.2, 0.8)), [0, 1, 0], atol=1e-14)
 
     def test_planar_generic_free_functions(self):
         w = beltrami.catalog("abc_minimal").field
         dom = Domain.box((-1, -1, 0.4), (1, 1, 1.3))
         ss = sample(dom, 400)
-        spec = example_symmetry("abc_minimal", p=S**2 + sin(T), g=0.3 * T**2)
-        rep = verify_local_symmetry(w, spec, ss)
+        xi = example_symmetry("abc_minimal", p=S**2 + sin(T), g=0.3 * T**2)
+        rep = verify_local_symmetry(w, xi, ss)
         assert rep.max("lie_derivative") < 1e-10
         assert rep.max("div_xi") < 1e-10
 
     def test_axis_rotation_from_free_functions(self):
         w = beltrami.catalog("cylindrical").field
-        spec = example_symmetry("cylindrical", p=0.0 * S, g=-sin(T))
+        xi = example_symmetry("cylindrical", p=0.0 * S, g=-sin(T))
         # the construction carries the coefficient factor -1, so the result
         # is minus the azimuthal tangent; either sign generates the rotation
         pt = (1.0, 0.3, 0.6)
-        np.testing.assert_allclose(spec.xi(pt), [0.3, -1.0, 0.0], atol=1e-13)
+        np.testing.assert_allclose(xi(pt), [0.3, -1.0, 0.0], atol=1e-13)
         dom = Domain.cylindrical_shell(0.5, 1.5, 0.3, 1.0)
         ss = sample(dom, 400)
-        rep = verify_local_symmetry(w, spec, ss)
+        rep = verify_local_symmetry(w, xi, ss)
         assert rep.max("lie_derivative") < 1e-8
         assert rep.max("div_xi") < 1e-8
 
     def test_cylindrical_generic_free_functions(self):
         w = beltrami.catalog("cylindrical").field
-        spec = example_symmetry("cylindrical", p=0.5 * S + sin(T), g=-sin(T), q=0.2 * T)
+        xi = example_symmetry("cylindrical", p=0.5 * S + sin(T), g=-sin(T), q=0.2 * T)
         # wedge domain keeps the azimuth away from the branch cut
         dom = Domain.box((0.6, -0.35, 0.7), (1.2, 0.35, 1.3))
         ss = sample(dom, 400)
-        rep = verify_local_symmetry(w, spec, ss)
+        rep = verify_local_symmetry(w, xi, ss)
         assert rep.max("lie_derivative") < 1e-9
         assert rep.max("div_xi") < 1e-9
 
     def test_squared_angle_example_symmetry(self):
         w = beltrami.catalog("example3").field
-        spec = example_symmetry("example3", p=0.0 * S, g=T)
+        xi = example_symmetry("example3", p=0.0 * S, g=T)
         dom = Domain.box((-1.0, 0.1, 0.6), (1.0, 1.0, 1.4))
         ss = sample(dom, 500)
-        rep = verify_local_symmetry(w, spec, ss)
+        rep = verify_local_symmetry(w, xi, ss)
         assert rep.max("lie_derivative") < 1e-7
         assert rep.max("div_xi") < 1e-8
 
@@ -342,9 +342,9 @@ class TestLocalSymmetries:
         ]
         for name, free, g_spatial, dom in cases:
             w = beltrami.catalog(name).field
-            spec = example_symmetry(name, **free)
+            xi = example_symmetry(name, **free)
             ss = sample(dom, 300)
-            resid = cross(w, spec.xi) - Gradient(g_spatial)
+            resid = cross(w, xi) - Gradient(g_spatial)
             assert np.abs(resid.values(ss.points)).max() < 1e-7, name
 
 
