@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fields as F
 from .checks import residual_report
-from .domains import Domain, SampleSet, sample
+from .domains import DEFAULT_SAMPLES, Domain, SampleSet, sample
 from .fields import (
     Divergence,
     Dot,
@@ -38,7 +38,6 @@ BELTRAMI_TOL = 1e-8
 DIVERGENCE_TOL = 1e-8
 ADMISSIBLE_TOL = 1e-7
 HARMONIC_TOL = 1e-9
-DEFAULT_SAMPLES = 1000
 
 
 class ConstructionError(ValueError):
@@ -70,9 +69,9 @@ class HarmonicPair:
             },
         )
 
-    def verify(self, samples: SampleSet, tol: float = HARMONIC_TOL) -> ResidualReport:
+    def verify(self, samples: SampleSet) -> ResidualReport:
         rep = self.residual_report(samples)
-        gates = {k: tol for k in rep.checks}
+        gates = {k: HARMONIC_TOL for k in rep.checks}
         if not rep.passes(gates):
             raise ConstructionError(
                 "not a conjugate harmonic pair: "
@@ -102,10 +101,10 @@ class BeltramiRecord:
     provenance: str
     name: str = ""
 
-    def residual_report(self, samples: SampleSet | None = None, n: int = DEFAULT_SAMPLES,
-                        seed: int = 0, generator: str = "halton") -> ResidualReport:
+    def residual_report(self, samples: SampleSet | None = None) -> ResidualReport:
+        """Eigenrelation and divergence residuals; by default on 1000 Halton points."""
         if samples is None:
-            samples = sample(self.domain, n, generator=generator, seed=seed)
+            samples = sample(self.domain, DEFAULT_SAMPLES)
         return beltrami_residual(self.field, self.h, samples, label=self.name or "beltrami")
 
     def helicity_density(self) -> ScalarField:
@@ -136,7 +135,6 @@ def from_harmonic_pair(
     pair: HarmonicPair,
     sigma: ScalarField,
     domain: Domain | None = None,
-    n_verify: int = DEFAULT_SAMPLES,
     name: str = "",
 ) -> BeltramiRecord:
     """Build w = cos(sigma) grad v + sin(sigma) grad u with h = d(sigma)/dz.
@@ -147,7 +145,7 @@ def from_harmonic_pair(
     """
     if domain is None:
         domain = Domain.ball((0.0, 0.0, 0.0), 1.0)
-    samples = sample(domain, n_verify)
+    samples = sample(domain, DEFAULT_SAMPLES)
     pair.verify(samples)
 
     gs = Gradient(sigma)

@@ -9,31 +9,25 @@ from .fields import (
     Curl,
     Cross,
     Divergence,
-    EvalContext,
     Gradient,
     ScalarField,
     VectorField,
+    evaluate,
 )
 from .reports import CheckStats, ResidualReport, stats_from_values
 
 
 def scalar_abs_stats(f: ScalarField, samples: SampleSet) -> tuple[CheckStats, dict]:
     """|f| statistics over the samples; per-sample failures excluded."""
-    pts = samples.points
-    ctx = EvalContext(pts.shape[0])
-    with np.errstate(all="ignore"):
-        v = f.jet(pts, order=0, ctx=ctx).value
+    v, ctx = evaluate(f, samples.points)
     return stats_from_values(v, ctx.invalid), ctx.errors
 
 
 def vector_norm_stats(w: VectorField, samples: SampleSet) -> tuple[CheckStats, dict]:
     """Euclidean norm statistics of a vector field over the samples."""
-    pts = samples.points
-    ctx = EvalContext(pts.shape[0])
-    with np.errstate(all="ignore"):
-        j = w.jets(pts, order=0, ctx=ctx)
-    vals = np.sqrt(sum(c.value**2 for c in j))
-    return stats_from_values(vals, ctx.invalid), ctx.errors
+    v, ctx = evaluate(w, samples.points)
+    norm = np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2 + v[:, 2] ** 2)
+    return stats_from_values(norm, ctx.invalid), ctx.errors
 
 
 def residual_report(label: str, samples: SampleSet, channels: dict) -> ResidualReport:

@@ -17,7 +17,7 @@ import numpy as np
 from . import fields as F
 from .beltrami import ConstructionError
 from .checks import residual_report
-from .domains import Domain, SampleSet, sample
+from .domains import DEFAULT_SAMPLES, Domain, SampleSet, sample
 from .fields import (
     Cross,
     Curl,
@@ -40,7 +40,6 @@ FORCE_TOL = 1e-8
 DIV_TOL = 1e-9
 CONSTRAINT_TOL = 1e-8
 HARMONIC_TOL = 1e-9
-DEFAULT_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,10 @@ class ClebschSolution:
     domain: Domain
     name: str = ""
 
-    def residual_report(self, samples: SampleSet | None = None, n: int = DEFAULT_SAMPLES,
-                        seed: int = 0, generator: str = "halton") -> ResidualReport:
+    def residual_report(self, samples: SampleSet | None = None) -> ResidualReport:
+        """All invariants of the ansatz; by default on 1000 Halton points."""
         if samples is None:
-            samples = sample(self.domain, n, generator=generator, seed=seed)
+            samples = sample(self.domain, DEFAULT_SAMPLES)
         return clebsch_residuals(self.phi, self.psi, self.w, self.chi, samples,
                                  label=self.name or "clebsch")
 
@@ -106,14 +105,13 @@ _GATES = {
 
 
 def make_clebsch(phi: ScalarField, psi: ScalarField, domain: Domain,
-                 name: str = "", n_verify: int = DEFAULT_SAMPLES) -> ClebschSolution:
+                 name: str = "") -> ClebschSolution:
     """Assemble and verify the equilibrium defined by potentials phi, psi."""
     big_phi = (x**2 - y**2) / 2 + phi
     w = Gradient(big_phi) + F.VScale(exp(psi), vector(1.0, 0.0, 0.0))
     chi = exp(psi) * (x + exp(psi) / 2)
     sol = ClebschSolution(phi=phi, psi=psi, w=w, chi=chi, domain=domain, name=name)
-    samples = sample(domain, n_verify)
-    rep = sol.residual_report(samples)
+    rep = sol.residual_report()
     if not rep.passes(_GATES):
         failing = {k: rep.max(k) for k, tol in _GATES.items() if not (rep.max(k) < tol)}
         raise ConstructionError(f"clebsch construction failed: {failing}", rep)

@@ -18,12 +18,12 @@ from . import beltrami, clebsch, registry
 from .beltrami import beltrami_residual, verify_h_invariance
 from .characteristics import CharacteristicsProblem, InitialCurve, solve_characteristics
 from .domains import Domain, sample
-from .fields import EvaluationError, vector, y, z
+from .fields import vector, y, z
 from .fields import log as flog, sin as fsin
 from .gradshafranov import example_decomposition, ggse_check, gs_problem_from_plane, gs_residual
 from .lieops import lie_generate
-from .parsing import ExpressionError, parse_scalar, parse_univariate
-from .composite import AssemblyError, assemble, verify_composite
+from .parsing import parse_scalar, parse_univariate
+from .composite import assemble, verify_composite
 from .symmetry import (
     S,
     T,
@@ -228,15 +228,8 @@ def cmd_verify(args) -> int:
 
 def cmd_symmetry(args) -> int:
     entry = registry.get(args.name)
-    domain = _parse_domain(args.domain) if args.domain else entry.domain
-    rep = killing_scan(
-        entry.field,
-        domain,
-        n_samples=args.samples,
-        threshold=args.threshold,
-        seed=args.seed,
-        generator=args.generator,
-    )
+    samples = _samples(args, entry.domain)
+    rep = killing_scan(entry.field, samples.domain, samples=samples, threshold=args.threshold)
     doc = {
         "schema": SCHEMA,
         "command": "symmetry",
@@ -266,7 +259,7 @@ def cmd_orbit(args) -> int:
         "schema": SCHEMA,
         "command": "orbit",
         "field": args.name,
-        "config": _config_doc(args, ("gen", "n", "samples", "seed", "domain")),
+        "config": _config_doc(args, ("gen", "n", "samples", "seed", "generator", "domain")),
         "orbit": orbit.to_dict(),
         "passed": bool(passed),
     }
@@ -534,8 +527,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ExpressionError, KeyError, EvaluationError, AssemblyError,
-            ValueError) as e:
+    except (UsageError, KeyError, ValueError) as e:
         msg = e.args[0] if e.args else str(e)
         print(f"error: {msg}", file=sys.stderr)
         return 2

@@ -23,6 +23,12 @@ from .fields import VectorField
 from .reports import ResidualReport
 from .symmetry import KillingReport, killing_scan
 
+AMBIENT_RADIUS = 1.0
+N_PROBE = 2000  # samples probing the core domain and the shell field
+N_INTERFACE = 500  # Fibonacci points on the interface and on the outer sphere
+REGION_TOL = 1e-8  # residual gate of both regions
+REL_SE_TOL = 0.02  # largest relative standard error of the L2 estimate
+
 
 @dataclass(frozen=True)
 class Region:
@@ -71,8 +77,6 @@ def assemble(
     core: ClebschSolution | BeltramiRecord,
     shell_field: BeltramiRecord,
     eps: float,
-    ambient_radius: float = 1.0,
-    n_probe: int = 2000,
 ) -> PiecewiseField:
     """Stitch a core ball into a curl-eigenfield shell.
 
@@ -82,25 +86,25 @@ def assemble(
     when the core's own domain does not cover the ball, or when the shell
     field is singular somewhere on the shell region (probed on a sample).
     """
-    if not 0 < eps < ambient_radius:
+    if not 0 < eps < AMBIENT_RADIUS:
         raise AssemblyError("interface radius must satisfy 0 < eps < ambient radius")
     ball = Domain.ball((0.0, 0.0, 0.0), eps)
-    probe = sample(ball, n_probe)
+    probe = sample(ball, N_PROBE)
     if not core.domain.contains(probe.points).all():
         raise AssemblyError("core solution's domain does not contain the interface ball")
 
-    shell_region = Domain.spherical_shell((0.0, 0.0, 0.0), eps, ambient_radius)
-    shell_probe = sample(shell_region, n_probe)
+    shell_region = Domain.spherical_shell((0.0, 0.0, 0.0), eps, AMBIENT_RADIUS)
+    shell_probe = sample(shell_region, N_PROBE)
     declared = shell_field.domain.contains(shell_probe.points)
     vals = shell_field.field.values(shell_probe.points)
     finite = np.isfinite(vals).all(axis=1)
     if not finite.all() or not declared.all():
         raise AssemblyError(
             f"shell field invalid on {int((~(declared & finite)).sum())} of "
-            f"{n_probe} shell probe points (singular set inside the shell?)"
+            f"{N_PROBE} shell probe points (singular set inside the shell?)"
         )
 
-    ambient = Domain.ball((0.0, 0.0, 0.0), ambient_radius)
+    ambient = Domain.ball((0.0, 0.0, 0.0), AMBIENT_RADIUS)
     if isinstance(core, BeltramiRecord):
         core_region = Region(domain=ball, kind="core", beltrami=core)
     else:
@@ -128,18 +132,18 @@ class CompositeReport:
     core_killing: KillingReport
     notes: dict = dc_field(default_factory=dict)
 
-    def passes(self, region_tol: float = 1e-8, rel_se_tol: float = 0.02) -> bool:
+    def passes(self) -> bool:
         core_gates = {
-            k: region_tol
+            k: REGION_TOL
             for k in ("force_balance", "beltrami", "divergence")
             if k in self.core_report.checks
         }
         ok = self.core_report.passes(core_gates)
         ok &= self.shell_report.passes(
-            {"beltrami": region_tol, "divergence": region_tol}
+            {"beltrami": REGION_TOL, "divergence": REGION_TOL}
         )
         ok &= np.isfinite(self.l2_estimate) and self.l2_estimate > 0
-        ok &= self.l2_standard_error < rel_se_tol * self.l2_estimate
+        ok &= self.l2_standard_error < REL_SE_TOL * self.l2_estimate
         ok &= self.core_killing.null_dim == 0
         return bool(ok)
 
@@ -190,7 +194,6 @@ def verify_composite(
     pf: PiecewiseField,
     samples_per_region: int = 1000,
     mc_samples: int = 100_000,
-    n_interface: int = 500,
     seed: int = 0,
 ) -> CompositeReport:
     """Region residuals, square-integrability estimate, interface diagnostics."""
@@ -211,7 +214,7 @@ def verify_composite(
 
     l2, se = l2_monte_carlo(pf, n=mc_samples, seed=seed)
 
-    sphere = fibonacci_sphere(n_interface, radius=pf.interface_radius)
+    sphere = fibonacci_sphere(N_INTERFACE, radius=pf.interface_radius)
     normals = sphere / np.linalg.norm(sphere, axis=1, keepdims=True)
     core_vals = pf.core.field.values(sphere)
     shell_vals = pf.shell.field.values(sphere)
@@ -219,14 +222,12 @@ def verify_composite(
     flux_core = np.abs((core_vals * normals).sum(axis=1))
     flux_shell = np.abs((shell_vals * normals).sum(axis=1))
 
-    outer = fibonacci_sphere(n_interface, radius=pf.ambient.r_outer)
+    outer = fibonacci_sphere(N_INTERFACE, radius=pf.ambient.r_outer)
     outer_normals = outer / np.linalg.norm(outer, axis=1, keepdims=True)
     outer_vals = pf.shell.field.values(outer)
     boundary_flux = np.abs((outer_vals * outer_normals).sum(axis=1))
 
-    core_scan = killing_scan(
-        pf.core.field, pf.core.domain, n_samples=samples_per_region, seed=seed
-    )
+    core_scan = killing_scan(pf.core.field, pf.core.domain, samples=core_samples)
 
     return CompositeReport(
         core_report=core_rep,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DEFAULT_SAMPLES = 1000  # points a check draws when its caller passes no sample set
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -220,16 +222,16 @@ def sample(domain: Domain, n: int, generator: str = "halton", seed: int = 0) -> 
         got += keep.shape[0]
         attempts += 1
         if attempts > 200:
-            raise RuntimeError("rejection sampling failed; empty region?")
+            raise ValueError("rejection sampling failed; empty region?")
     pts = np.concatenate(chunks, axis=0)[:n]
     return SampleSet(points=pts, generator=generator, seed=seed, domain=domain)
 
 
-def fibonacci_sphere(n: int, radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """Deterministic quasi-uniform directions on a sphere."""
+def fibonacci_sphere(n: int, radius: float = 1.0) -> np.ndarray:
+    """Deterministic quasi-uniform points on a sphere about the origin."""
     i = np.arange(n, dtype=float)
     phi = np.pi * (3.0 - np.sqrt(5.0)) * i
     zc = 1.0 - 2.0 * (i + 0.5) / n
     r = np.sqrt(1.0 - zc**2)
     pts = np.stack([r * np.cos(phi), r * np.sin(phi), zc], axis=1)
-    return np.asarray(center) + radius * pts
+    return radius * pts

@@ -33,17 +33,16 @@ class EvaluationError(ValueError):
 class EvalContext:
     """Per-evaluation record of invalid sample points."""
 
-    __slots__ = ("n", "invalid", "errors")
+    __slots__ = ("invalid", "errors")
 
     def __init__(self, n: int):
-        self.n = n
         self.invalid = np.zeros(n, dtype=bool)
         self.errors: dict[str, int] = {}
 
     def flag(self, node, mask: np.ndarray) -> None:
         if mask.any():
             self.invalid |= mask
-            key = node.render() if hasattr(node, "render") else str(node)
+            key = node.render()
             self.errors[key] = self.errors.get(key, 0) + int(mask.sum())
 
 
@@ -64,41 +63,59 @@ def _num(v: float) -> str:
     return repr(f)
 
 
-# ---------------------------------------------------------------------------
-# scalar fields
-# ---------------------------------------------------------------------------
+def evaluate(f: "ScalarField | VectorField", pts: np.ndarray) -> tuple[np.ndarray, EvalContext]:
+    """Order-0 values at (N, 3) points, shape (N,) or (N, 3), as a fresh array.
+
+    Invalid samples are flagged in the returned context, not masked, and
+    floating-point warnings are silenced.  All order-0 evaluation goes here.
+    """
+    ctx = EvalContext(pts.shape[0])
+    with np.errstate(all="ignore"):
+        if isinstance(f, VectorField):
+            v = np.stack([c.value for c in f.jets(pts, order=0, ctx=ctx)], axis=1)
+        else:
+            v = f.jet(pts, order=0, ctx=ctx).value.copy()
+    return v, ctx
 
 
-class ScalarField:
-    """Base class for scalar expression nodes."""
-
-    precedence = 100
-
-    def jet(self, pts: np.ndarray, order: int = 2, ctx: EvalContext | None = None) -> Jet:
-        raise NotImplementedError
+class Field:
+    """What scalar and vector expression nodes share: order-0 entry points, rendering."""
 
     def values(self, pts) -> np.ndarray:
-        """Values at (N, 3) points; invalid samples are NaN."""
-        pts = as_points(pts)
-        ctx = EvalContext(pts.shape[0])
-        with np.errstate(all="ignore"):
-            v = self.jet(pts, order=0, ctx=ctx).value.copy()
+        """Values at (N, 3) points, shape (N,) or (N, 3); invalid samples are NaN."""
+        v, ctx = evaluate(self, as_points(pts))
         v[ctx.invalid] = np.nan
         return v
 
-    def __call__(self, p) -> float:
-        pts = as_points(p)
-        ctx = EvalContext(pts.shape[0])
-        with np.errstate(all="ignore"):
-            v = self.jet(pts, order=0, ctx=ctx).value
-        _raise_if_invalid(ctx, v)
-        return float(v[0])
+    def __call__(self, p):
+        """Value at one point; raises `EvaluationError` naming the failing node."""
+        v, ctx = evaluate(self, as_points(p))
+        if ctx.errors:
+            raise EvaluationError(f"evaluation failed in node {next(iter(ctx.errors))!r}")
+        if not np.isfinite(v).all():
+            raise EvaluationError("evaluation produced a non-finite result")
+        return v[0] if v.ndim == 2 else float(v[0])
 
     def render(self) -> str:
         raise NotImplementedError
 
     def __repr__(self) -> str:
         return self.render()
+
+
+# ---------------------------------------------------------------------------
+# scalar fields
+# ---------------------------------------------------------------------------
+
+
+class ScalarField(Field):
+    """Base class for scalar expression nodes."""
+
+    precedence = 100
+    values = Field.values  # an attribute of its own: bench/tracer.py wraps each base's
+
+    def jet(self, pts: np.ndarray, order: int = 2, ctx: EvalContext | None = None) -> Jet:
+        raise NotImplementedError
 
     def _wrap(self, prec: int) -> str:
         s = self.render()
@@ -143,15 +160,6 @@ def as_scalar(obj) -> ScalarField:
     if isinstance(obj, (int, float, np.floating, np.integer)):
         return Const(float(obj))
     raise TypeError(f"cannot interpret {obj!r} as a scalar field")
-
-
-def _raise_if_invalid(ctx: EvalContext, values: np.ndarray) -> None:
-    bad = ctx.invalid | ~np.isfinite(np.atleast_1d(values))
-    if bad.any():
-        if ctx.errors:
-            node, _ = next(iter(ctx.errors.items()))
-            raise EvaluationError(f"evaluation failed in node {node!r}")
-        raise EvaluationError("evaluation produced a non-finite result")
 
 
 @dataclass(frozen=True)
@@ -461,8 +469,10 @@ def substitute(expr: ScalarField, mapping: dict) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-class VectorField:
+class VectorField(Field):
     """Base class for vector expression nodes."""
+
+    values = Field.values  # an attribute of its own, as on ScalarField
 
     def jets(self, pts: np.ndarray, order: int = 2, ctx: EvalContext | None = None):
         """Component jets at (N, 3) points.
@@ -471,31 +481,6 @@ class VectorField:
         2: +Hessians, ...) are computed, nothing above it.
         """
         raise NotImplementedError
-
-    def values(self, pts) -> np.ndarray:
-        """Component values at (N, 3) points, shape (N, 3); invalid rows NaN."""
-        pts = as_points(pts)
-        ctx = EvalContext(pts.shape[0])
-        with np.errstate(all="ignore"):
-            j = self.jets(pts, order=0, ctx=ctx)
-        out = np.stack([c.value for c in j], axis=1)
-        out[ctx.invalid] = np.nan
-        return out
-
-    def __call__(self, p) -> np.ndarray:
-        pts = as_points(p)
-        ctx = EvalContext(pts.shape[0])
-        with np.errstate(all="ignore"):
-            j = self.jets(pts, order=0, ctx=ctx)
-        out = np.stack([c.value for c in j], axis=1)
-        _raise_if_invalid(ctx, out.ravel())
-        return out[0]
-
-    def render(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return self.render()
 
     def __add__(self, other):
         return VAdd(self, other)

@@ -33,10 +33,10 @@ from .fields import (
     Cross,
     Divergence,
     Dot,
-    EvalContext,
     Gradient,
     ScalarField,
     VectorField,
+    evaluate,
     sqrt,
     substitute,
     vector,
@@ -47,6 +47,7 @@ from .fields import (
 from .reports import ResidualReport
 
 SYMMETRY_TOL = 1e-9
+SINGULAR_TOL = 1e-10  # |grad Theta| below which a sample is singular for ggse_check
 
 
 class SingularGradientError(ValueError):
@@ -110,10 +111,10 @@ class GSProblem:
     w3: ScalarField  # univariate expression in T (covariant axis component)
     chi: ScalarField  # univariate expression in T
 
-    def verify_symmetry(self, samples: SampleSet, tol: float = SYMMETRY_TOL) -> None:
+    def verify_symmetry(self, samples: SampleSet) -> None:
         drift = Dot(self.chart.axis_tangent, Gradient(self.theta))
         st, _ = scalar_abs_stats(drift, samples)
-        if not (st.max < tol):
+        if not (st.max < SYMMETRY_TOL):
             raise ValueError(
                 f"flux function varies along the ignorable direction (max {st.max:.3e})"
             )
@@ -196,11 +197,7 @@ class GGSData:
     phi: ScalarField | None = None
 
 
-def ggse_check(
-    data: GGSData,
-    samples: SampleSet,
-    singular_tol: float = 1e-10,
-) -> ResidualReport:
+def ggse_check(data: GGSData, samples: SampleSet) -> ResidualReport:
     """Residuals of the generalized reduction on the given samples.
 
     Channels: the normalization Psi_1 Theta_2 - Psi_2 Theta_1 - 1, the
@@ -212,11 +209,8 @@ def ggse_check(
     """
     gtheta = Gradient(data.theta)
     norm2 = Dot(gtheta, gtheta)
-    pts = samples.points
-    ctx = EvalContext(pts.shape[0])
-    with np.errstate(all="ignore"):
-        n2 = norm2.jet(pts, order=0, ctx=ctx).value
-    singular = ~np.isfinite(n2) | (n2 < singular_tol**2)
+    n2, _ = evaluate(norm2, samples.points)
+    singular = ~np.isfinite(n2) | (n2 < SINGULAR_TOL**2)
     if singular.mean() > 0.5:
         raise SingularGradientError(
             "grad Theta vanishes on the sampled region; the generalized "

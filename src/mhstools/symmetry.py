@@ -25,17 +25,17 @@ from .characteristics import (
     solve_characteristics,
 )
 from .checks import residual_report
-from .domains import Domain, SampleSet, sample
+from .domains import DEFAULT_SAMPLES, Domain, SampleSet, sample
 from .fields import (
     Compose1,
     Divergence,
-    EvalContext,
     LieEuclidean,
     Placeholder,
     ScalarField,
     VectorField,
     atan2,
     cos,
+    evaluate,
     exp,
     log,
     sin,
@@ -139,33 +139,22 @@ class KillingReport:
         return d
 
 
-def killing_scan(
-    w: VectorField,
-    domain: Domain,
-    n_samples: int = 1000,
-    threshold: float = DEFAULT_THRESHOLD,
-    seed: int = 0,
-    generator: str = "halton",
-    samples: SampleSet | None = None,
-) -> KillingReport:
-    """Null space of (a, b) -> Lie(a + b x r) w sampled over the domain."""
+def killing_scan(w: VectorField, domain: Domain, samples: SampleSet | None = None,
+                 threshold: float = DEFAULT_THRESHOLD) -> KillingReport:
+    """Null space of (a, b) -> Lie(a + b x r) w over samples (default: 1000 Halton of domain)."""
     if samples is None:
-        if n_samples < 6:
-            raise ValueError("need at least 6 samples for a 6-parameter scan")
-        samples = sample(domain, n_samples, generator=generator, seed=seed)
+        samples = sample(domain, DEFAULT_SAMPLES)
+    if samples.count < 6:
+        raise ValueError("need at least 6 samples for a 6-parameter scan")
     pts = samples.points
-    n = pts.shape[0]
 
-    ctx = EvalContext(n)
-    with np.errstate(all="ignore"):
-        wvals = np.stack([c.value for c in w.jets(pts, order=0, ctx=ctx)], axis=1)
-        cols = []
-        for gen in CANONICAL_GENERATORS:
-            jl = lie_euclidean(w, gen).jets(pts, order=0, ctx=ctx)
-            cols.append(np.stack([c.value for c in jl], axis=1))
+    wvals, ctx = evaluate(w, pts)
     valid = ~ctx.invalid & np.isfinite(wvals).all(axis=1)
-    for col in cols:
-        valid &= np.isfinite(col).all(axis=1)
+    cols = []
+    for gen in CANONICAL_GENERATORS:
+        col, ctx = evaluate(lie_euclidean(w, gen), pts)
+        valid &= ~ctx.invalid & np.isfinite(col).all(axis=1)
+        cols.append(col)
     if int(valid.sum()) < 6:
         raise ValueError("too few valid samples for the scan")
 
@@ -197,8 +186,8 @@ def killing_scan(
         provenance=samples.provenance(),
         notes=notes,
     )
-    if int(valid.sum()) != n:
-        rep.notes["n_invalid_samples"] = int(n - valid.sum())
+    if int(valid.sum()) != samples.count:
+        rep.notes["n_invalid_samples"] = int(samples.count - valid.sum())
     return rep
 
 

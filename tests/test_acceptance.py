@@ -55,7 +55,8 @@ def spans(null_basis, target) -> bool:
 def test_criterion_01_beltrami_catalog():
     worst = {}
     for name in ("abc_minimal", "cylindrical", "exp_x3", "zsq_x3", "example3"):
-        rep = beltrami.catalog(name).residual_report(n=1000)
+        rec = beltrami.catalog(name)
+        rep = rec.residual_report(sample(rec.domain, 1000))
         worst[name] = (rep.max("beltrami"), rep.max("divergence"))
     ok = all(b < 1e-8 and d < 1e-8 for b, d in worst.values())
     detail = "; ".join(f"{k}: curl {b:.1e}, div {d:.1e}" for k, (b, d) in worst.items())
@@ -66,7 +67,8 @@ def test_criterion_01_beltrami_catalog():
 def test_criterion_02_pressure_catalog():
     worst = {}
     for name in ("w4_1", "w4_2", "w4_3", "w4_4"):
-        rep = clebsch.catalog(name).residual_report(n=1000)
+        sol = clebsch.catalog(name)
+        rep = sol.residual_report(sample(sol.domain, 1000))
         worst[name] = rep.max("force_balance")
     sol = clebsch.catalog("w4_1")
     w0 = sol.w((0.0, 0.0, 0.0))
@@ -111,9 +113,10 @@ def test_criterion_03_symmetry_verdict_table():
             entry = beltrami.catalog(name)
             field, domain = entry.field, entry.domain
         scans = (
-            killing_scan(field, domain, n_samples=500),
-            killing_scan(field, domain, n_samples=1000),
-            killing_scan(field, domain, n_samples=500, generator="random", seed=42),
+            killing_scan(field, domain, samples=sample(domain, 500)),
+            killing_scan(field, domain, samples=sample(domain, 1000)),
+            killing_scan(field, domain,
+                         samples=sample(domain, 500, generator="random", seed=42)),
         )
         measured[name] = scans[0].null_dim
         stable &= len({rep.null_dim for rep in scans}) == 1
@@ -142,7 +145,7 @@ def test_criterion_03_symmetry_verdict_table():
 def test_criterion_04_killing_sanity_oracle():
     w = vector(1.0, 0.0, 0.0)
     domain = Domain.ball((0.0, 0.0, 0.0), 1.0)
-    rep = killing_scan(w, domain, n_samples=600)
+    rep = killing_scan(w, domain, samples=sample(domain, 600))
     pts = sample(domain, 200).points
     brute = [
         np.abs(lie_euclidean(w, g).values(pts)).max() < 1e-12
@@ -187,7 +190,7 @@ def test_criterion_06_orbit_generation():
     m1 = orbit.members[1]
     bel = m1.report.max("beltrami")
     dv = m1.report.max("divergence")
-    dim = killing_scan(m1.field, rec.domain, n_samples=600).null_dim
+    dim = killing_scan(m1.field, rec.domain, samples=sample(rec.domain, 600)).null_dim
     ok = fixed < 1e-9 and bel < 1e-8 and dv < 1e-8 and dim == 0
     verdict(
         6,

@@ -22,7 +22,7 @@ OFFSET_BOX = Domain.box((-1.0, 0.5, 0.5), (1.0, 1.5, 1.5))
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_catalog_force_balance(name):
     sol = catalog(name)
-    rep = sol.residual_report(n=1000)
+    rep = sol.residual_report(sample(sol.domain, 1000))
     assert rep.max("force_balance") < 1e-8
     assert rep.max("divergence") < 1e-9
     assert rep.max("constraint") < 1e-8
@@ -60,7 +60,7 @@ def test_w4_3_closed_form_components():
 
 def test_curl_identity_and_chi_transport():
     sol = catalog("w4_2")
-    rep = sol.residual_report(n=800)
+    rep = sol.residual_report(sample(sol.domain, 800))
     assert rep.max("curl_identity") < 1e-9
     assert rep.max("chi_along_w") < 1e-8
     assert rep.max("chi_along_curl") < 1e-8
@@ -97,7 +97,7 @@ class TestFamily:
         np.testing.assert_allclose(
             sol.psi.values(pts), 0.5 * np.log(2 * pts[:, 1]), atol=1e-13
         )
-        rep = sol.residual_report(n=500)
+        rep = sol.residual_report(sample(sol.domain, 500))
         assert rep.max("constraint") < 1e-8
         assert rep.max("force_balance") < 1e-8
 
@@ -105,7 +105,7 @@ class TestFamily:
         a, b, g, d = FAMILY_PARAMS
         assert d != 0.0
         sol = make_clebsch_family(a, b, g, d, OFFSET_BOX)
-        rep = sol.residual_report(n=800)
+        rep = sol.residual_report(sample(sol.domain, 800))
         assert rep.max("force_balance") < 1e-8
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0])

@@ -80,6 +80,12 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "w4_1", "--domain", "torus:1")
         assert rc == 2
 
+    def test_domain_too_thin_to_sample(self, capsys):
+        rc, out, err = run(capsys, "verify", "w4_1", "--domain", "sshell:0,0,0,0.9999999,1")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: rejection sampling failed; empty region?\n"
+
 
 class TestSymmetry:
     @pytest.mark.parametrize(
@@ -92,6 +98,11 @@ class TestSymmetry:
         assert doc["report"]["null_dim"] == dim
         assert len(doc["report"]["singular_values"]) == 6
         assert rc == 0
+
+    def test_needs_six_samples(self, capsys):
+        rc, out, err = run(capsys, "symmetry", "exp_x3", "--samples", "3")
+        assert (rc, out) == (2, "")
+        assert err == "error: need at least 6 samples for a 6-parameter scan\n"
 
     def test_report_schema(self, capsys):
         rc, out, _ = run(capsys, "symmetry", "cylindrical", "--format", "json", "--samples", "300")
@@ -127,6 +138,15 @@ class TestOrbit:
         for key in ("beltrami_max", "max_magnitude"):
             got = [m[key] for m in seeded["orbit"]["members"]]
             assert got != [m[key] for m in default["orbit"]["members"]], key
+
+    def test_generator_is_recorded(self, capsys):
+        argv = ("orbit", "zsq_x3", "--gen", "rot-z", "--format", "json", "--seed", "3")
+        _, out, _ = run(capsys, *argv)
+        halton = json.loads(out)["config"]
+        _, out, _ = run(capsys, *argv, "--generator", "random")
+        random = json.loads(out)["config"]
+        assert (halton["generator"], random["generator"]) == ("halton", "random")
+        assert halton != random
 
     def test_domain_sets_the_samples(self, capsys):
         argv = ("orbit", "zsq_x3", "--gen", "rot-z", "--n", "1", "--format", "json")

@@ -230,3 +230,41 @@ class TestErrorHandling:
         assert st.n_errors + (st.n_samples - st.n_errors) == 200
         assert np.isfinite(st.max)
         assert errors  # offending node recorded
+
+    # rows: valid, x < 0, y = 0, x = 0
+    INVALID_PTS = np.array(
+        [[1.0, 1.0, 0.0], [-1.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.5, 1.0]]
+    )
+
+    @pytest.mark.parametrize(
+        "field,flagged,bad_row,node",
+        [
+            (log(x), [False, True, False, True], 1, "log(x)"),
+            (vector(log(x), y, 1 / y), [False, True, True, True], 2, "1/y"),
+        ],
+        ids=["scalar", "vector"],
+    )
+    def test_entry_points_agree_on_invalid_samples(self, field, flagged, bad_row, node):
+        from mhstools.checks import scalar_abs_stats, vector_norm_stats
+        from mhstools.domains import SampleSet
+        from mhstools.fields import VectorField, evaluate
+
+        pts = self.INVALID_PTS
+        _, ctx = evaluate(field, pts)
+        assert ctx.invalid.tolist() == flagged
+        # values(): NaN rows exactly where evaluate flags them, whole rows
+        vals = field.values(pts).reshape(len(pts), -1)
+        assert np.isnan(vals).any(axis=1).tolist() == flagged
+        assert np.isnan(vals[ctx.invalid]).all()
+        # __call__: the failing node is named, a valid point evaluates
+        with pytest.raises(EvaluationError) as ei:
+            field(pts[bad_row])
+        assert repr(node) in str(ei.value)
+        assert np.isfinite(field(pts[0])).all()
+        # checks: the same samples are counted as errors
+        stats = vector_norm_stats if isinstance(field, VectorField) else scalar_abs_stats
+        ss = SampleSet(points=pts.copy(), generator="halton", seed=0,
+                       domain=Domain.box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)))
+        st, errors = stats(field, ss)
+        assert st.n_errors == sum(flagged)
+        assert node in errors

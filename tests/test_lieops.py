@@ -135,7 +135,7 @@ class TestOrbits:
         )
         diff = np.abs(m1.field.values(ss.points) - closed.values(ss.points)).max()
         assert diff < 1e-8
-        scan = killing_scan(m1.field, rec.domain, n_samples=500)
+        scan = killing_scan(m1.field, rec.domain, samples=sample(rec.domain, 500))
         assert scan.null_dim == 0
 
     def test_second_member_keeps_eigenrelation(self):

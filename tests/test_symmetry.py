@@ -97,7 +97,7 @@ class TestLieEuclidean:
 class TestKillingScan:
     def test_constant_field_dimension_four(self):
         w = vector(1.0, 0.0, 0.0)
-        rep = killing_scan(w, BALL, n_samples=400)
+        rep = killing_scan(w, BALL, samples=sample(BALL, 400))
         assert rep.null_dim == 4
         # brute force over canonical generators: all translations kill w,
         # among rotations only the one about the field axis does
@@ -119,7 +119,7 @@ class TestKillingScan:
         # the z-dependent planar field is killed by both translations in the
         # plane and by the screw z-translation + z-rotation combination
         rec = beltrami.catalog("abc_minimal")
-        rep = killing_scan(rec.field, rec.domain, n_samples=500)
+        rep = killing_scan(rec.field, rec.domain, samples=sample(rec.domain, 500))
         assert rep.null_dim == 3
         pts = sample(rec.domain, 200, generator="random", seed=11).points
         for gen in (
@@ -132,7 +132,7 @@ class TestKillingScan:
 
     def test_cylindrical_field_axis_rotation(self):
         rec = beltrami.catalog("cylindrical")
-        rep = killing_scan(rec.field, rec.domain, n_samples=500)
+        rep = killing_scan(rec.field, rec.domain, samples=sample(rec.domain, 500))
         assert rep.null_dim == 1
         k = rep.null_basis[0]
         v = np.array(list(k.a) + list(k.b))
@@ -143,21 +143,22 @@ class TestKillingScan:
     @pytest.mark.parametrize("name", ["exp_x3", "zsq_x3", "example3"])
     def test_asymmetric_eigenfields(self, name):
         rec = beltrami.catalog(name)
-        rep = killing_scan(rec.field, rec.domain, n_samples=600)
+        rep = killing_scan(rec.field, rec.domain, samples=sample(rec.domain, 600))
         assert rep.null_dim == 0
 
     @pytest.mark.parametrize("name", ["w4_1", "w4_2", "w4_3"])
     def test_asymmetric_pressure_fields(self, name):
         sol = clebsch.catalog(name)
-        rep = killing_scan(sol.w, sol.domain, n_samples=600)
+        rep = killing_scan(sol.w, sol.domain, samples=sample(sol.domain, 600))
         assert rep.null_dim == 0
 
     def test_stability_under_sampling_changes(self):
         rec = beltrami.catalog("cylindrical")
-        base = killing_scan(rec.field, rec.domain, n_samples=400)
-        doubled = killing_scan(rec.field, rec.domain, n_samples=800)
+        base = killing_scan(rec.field, rec.domain, samples=sample(rec.domain, 400))
+        doubled = killing_scan(rec.field, rec.domain, samples=sample(rec.domain, 800))
         reseeded = killing_scan(
-            rec.field, rec.domain, n_samples=400, generator="random", seed=123
+            rec.field, rec.domain,
+            samples=sample(rec.domain, 400, generator="random", seed=123),
         )
         assert base.null_dim == doubled.null_dim == reseeded.null_dim == 1
 
@@ -180,8 +181,9 @@ class TestKillingScan:
     def test_scale_equivariance(self):
         rec = beltrami.catalog("cylindrical")
         scaled = VScale(7.3, rec.field)
-        a = killing_scan(rec.field, rec.domain, n_samples=400)
-        b = killing_scan(scaled, rec.domain, n_samples=400)
+        ss = sample(rec.domain, 400)
+        a = killing_scan(rec.field, rec.domain, samples=ss)
+        b = killing_scan(scaled, rec.domain, samples=ss)
         assert a.null_dim == b.null_dim
         va = np.array(list(a.null_basis[0].a) + list(a.null_basis[0].b))
         vb = np.array(list(b.null_basis[0].a) + list(b.null_basis[0].b))
@@ -190,7 +192,7 @@ class TestKillingScan:
     def test_out_of_sample_validation_of_null_vectors(self):
         for name in ("abc_minimal", "cylindrical"):
             rec = beltrami.catalog(name)
-            rep = killing_scan(rec.field, rec.domain, n_samples=500)
+            rep = killing_scan(rec.field, rec.domain, samples=sample(rec.domain, 500))
             fresh = sample(rec.domain, 500, generator="random", seed=99)
             grad_mag = max(
                 np.abs(
@@ -210,7 +212,7 @@ class TestKillingScan:
 
     def test_needs_six_samples(self):
         with pytest.raises(ValueError):
-            killing_scan(vector(1.0, 0.0, 0.0), BALL, n_samples=3)
+            killing_scan(vector(1.0, 0.0, 0.0), BALL, samples=sample(BALL, 3))
 
 
 class TestSymbolicOracle:
