@@ -17,28 +17,35 @@ from .fields import (
 from .reports import CheckStats, ResidualReport, stats_from_values
 
 
-def scalar_abs_stats(f: ScalarField, samples: SampleSet) -> tuple[CheckStats, dict]:
+def scalar_abs_stats(f: ScalarField, samples: SampleSet,
+                     memo: dict | None = None) -> tuple[CheckStats, dict]:
     """|f| statistics over the samples; per-sample failures excluded."""
-    v, ctx = evaluate(f, samples.points)
+    v, ctx = evaluate(f, samples.points, memo)
     return stats_from_values(v, ctx.invalid), ctx.errors
 
 
-def vector_norm_stats(w: VectorField, samples: SampleSet) -> tuple[CheckStats, dict]:
+def vector_norm_stats(w: VectorField, samples: SampleSet,
+                      memo: dict | None = None) -> tuple[CheckStats, dict]:
     """Euclidean norm statistics of a vector field over the samples."""
-    v, ctx = evaluate(w, samples.points)
+    v, ctx = evaluate(w, samples.points, memo)
     norm = np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2 + v[:, 2] ** 2)
     return stats_from_values(norm, ctx.invalid), ctx.errors
 
 
 def residual_report(label: str, samples: SampleSet, channels: dict) -> ResidualReport:
-    """Evaluate named scalar/vector residual expressions into one report."""
+    """Evaluate named scalar/vector residual expressions into one report.
+
+    The channels share one evaluation memo, so a subtree they have in common
+    is walked once; the memo is dropped when the report is built.
+    """
     checks: dict[str, CheckStats] = {}
     errors: dict[str, int] = {}
+    memo: dict = {}
     for name, expr in channels.items():
         if isinstance(expr, VectorField):
-            st, errs = vector_norm_stats(expr, samples)
+            st, errs = vector_norm_stats(expr, samples, memo)
         else:
-            st, errs = scalar_abs_stats(expr, samples)
+            st, errs = scalar_abs_stats(expr, samples, memo)
         checks[name] = st
         for k, v in errs.items():
             errors[k] = errors.get(k, 0) + v

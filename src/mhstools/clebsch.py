@@ -76,16 +76,16 @@ def clebsch_residuals(phi, psi, w, chi, samples, label="clebsch") -> ResidualRep
     constraint = (
         -y * VComponent(gpsi, 1) + Dot(gphi, gpsi) + 1.0
     )
-    curl_identity = Curl(w) - Cross(Gradient(exp(psi)), vector(1.0, 0.0, 0.0))
-    gchi = Gradient(chi)
+    cw, gchi = Curl(w), Gradient(chi)
+    curl_identity = cw - Cross(Gradient(exp(psi)), vector(1.0, 0.0, 0.0))
     channels = {
-        "force_balance": Cross(w, Curl(w)) - gchi,
+        "force_balance": Cross(w, cw) - gchi,
         "divergence": Divergence(w),
         "laplace_phi": Divergence(gphi),
         "constraint": constraint,
         "curl_identity": curl_identity,
         "chi_along_w": Dot(w, gchi),
-        "chi_along_curl": Dot(Curl(w), gchi),
+        "chi_along_curl": Dot(cw, gchi),
         # the x-independence of psi makes grad(e^psi) . grad(x) vanish
         "clebsch_orthogonality": VComponent(gpsi, 0),
     }

@@ -31,19 +31,27 @@ class EvaluationError(ValueError):
 
 
 class EvalContext:
-    """Per-evaluation record of invalid sample points."""
+    """Per-evaluation record of invalid sample points.
 
-    __slots__ = ("invalid", "errors")
+    `memo`, when set, is a dict shared by the evaluations of one report: vector
+    nodes keep their component jets there (see `VectorField.jets`).  `flags`
+    lists every (node, mask) raised, so a reused subtree can raise them again.
+    """
+
+    __slots__ = ("invalid", "errors", "flags", "memo")
 
     def __init__(self, n: int):
         self.invalid = np.zeros(n, dtype=bool)
         self.errors: dict[str, int] = {}
+        self.flags: list = []
+        self.memo: dict | None = None
 
     def flag(self, node, mask: np.ndarray) -> None:
         if mask.any():
             self.invalid |= mask
             key = node.render()
             self.errors[key] = self.errors.get(key, 0) + int(mask.sum())
+            self.flags.append((node, mask))
 
 
 def as_points(p) -> np.ndarray:
@@ -63,13 +71,17 @@ def _num(v: float) -> str:
     return repr(f)
 
 
-def evaluate(f: "ScalarField | VectorField", pts: np.ndarray) -> tuple[np.ndarray, EvalContext]:
+def evaluate(f: "ScalarField | VectorField", pts: np.ndarray,
+             memo: dict | None = None) -> tuple[np.ndarray, EvalContext]:
     """Order-0 values at (N, 3) points, shape (N,) or (N, 3), as a fresh array.
 
     Invalid samples are flagged in the returned context, not masked, and
     floating-point warnings are silenced.  All order-0 evaluation goes here.
+    Evaluations that pass the same `memo` dict walk a shared vector subtree
+    once; the dict holds jets and must be dropped when the report is done.
     """
     ctx = EvalContext(pts.shape[0])
+    ctx.memo = memo
     with np.errstate(all="ignore"):
         if isinstance(f, VectorField):
             v = np.stack([c.value for c in f.jets(pts, order=0, ctx=ctx)], axis=1)
@@ -98,9 +110,6 @@ class Field:
 
     def render(self) -> str:
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return self.render()
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +479,7 @@ def substitute(expr: ScalarField, mapping: dict) -> ScalarField:
 
 
 class VectorField(Field):
-    """Base class for vector expression nodes."""
+    """Base class for vector expression nodes; each computes its jets in `_jets`."""
 
     values = Field.values  # an attribute of its own, as on ScalarField
 
@@ -478,9 +487,26 @@ class VectorField(Field):
         """Component jets at (N, 3) points.
 
         Derivative blocks up to `order` (0: values, 1: +gradients,
-        2: +Hessians, ...) are computed, nothing above it.
+        2: +Hessians, ...) are computed, nothing above it.  Under a memo
+        (`ctx.memo`) they are computed once per (node, order, points) and
+        shared, so no caller may write into their blocks; each reuse raises
+        the subtree's flags again, so invalid masks and error counts are
+        those of a fresh walk.
         """
-        raise NotImplementedError
+        memo = None if ctx is None else ctx.memo
+        if memo is None:
+            return self._jets(pts, order, ctx)
+        key = (id(self), order, id(pts))
+        hit = memo.get(key)
+        if hit is None:
+            start = len(ctx.flags)
+            out = self._jets(pts, order, ctx)
+            # the entry holds the node and the points, so neither id is reused
+            memo[key] = (self, pts, out, ctx.flags[start:])
+            return out
+        for node, mask in hit[3]:
+            ctx.flag(node, mask)
+        return hit[2]
 
     def __add__(self, other):
         return VAdd(self, other)
@@ -503,7 +529,7 @@ class FromComponents(VectorField):
     fy: ScalarField
     fz: ScalarField
 
-    def jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order=2, ctx=None):
         return (
             self.fx.jet(pts, order, ctx),
             self.fy.jet(pts, order, ctx),
@@ -518,7 +544,7 @@ class FromComponents(VectorField):
 class Gradient(VectorField):
     f: ScalarField
 
-    def jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order=2, ctx=None):
         j = self.f.jet(pts, order + 1, ctx)
         return j.partial(0), j.partial(1), j.partial(2)
 
@@ -530,7 +556,7 @@ class Gradient(VectorField):
 class Curl(VectorField):
     w: VectorField
 
-    def jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order=2, ctx=None):
         j = self.w.jets(pts, order + 1, ctx)
         return (
             j[2].partial(1) - j[1].partial(2),
@@ -547,7 +573,7 @@ class Cross(VectorField):
     u: VectorField
     v: VectorField
 
-    def jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order=2, ctx=None):
         a = self.u.jets(pts, order, ctx)
         b = self.v.jets(pts, order, ctx)
         return (
@@ -565,7 +591,7 @@ class VAdd(VectorField):
     u: VectorField
     v: VectorField
 
-    def jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order=2, ctx=None):
         a = self.u.jets(pts, order, ctx)
         b = self.v.jets(pts, order, ctx)
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
@@ -583,7 +609,7 @@ class VScale(VectorField):
         if not isinstance(self.f, ScalarField):
             object.__setattr__(self, "f", as_scalar(self.f))
 
-    def jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order=2, ctx=None):
         jf = self.f.jet(pts, order, ctx)
         jw = self.w.jets(pts, order, ctx)
         return (jf * jw[0], jf * jw[1], jf * jw[2])
@@ -599,7 +625,7 @@ class Lie(VectorField):
     xi: VectorField
     w: VectorField
 
-    def jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order=2, ctx=None):
         jx = self.xi.jets(pts, order + 1, ctx)
         jw = self.w.jets(pts, order + 1, ctx)
         out = []
@@ -626,7 +652,7 @@ class LieEuclidean(VectorField):
     b: tuple
     w: VectorField
 
-    def jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order=2, ctx=None):
         jw = self.w.jets(pts, order + 1, ctx)
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)

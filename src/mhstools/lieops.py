@@ -120,14 +120,14 @@ def lie_generate(
             f"|xi . grad h| max = {hk.max('h_symmetry'):.3e}"
         )
 
-    base_mag, _ = vector_norm_stats(base.field, samples)
     members: list[OrbitMember] = []
     current = base.field
     truncated = False
     for i in range(n + 1):
         rep = beltrami_residual(current, base.h, samples, label=f"orbit_member_{i}")
         mag, _ = vector_norm_stats(current, samples)
-        null = bool(mag.max < TERMINAL_NULL_REL * max(base_mag.max, 1e-300))
+        base_max = members[0].max_magnitude if members else mag.max
+        null = bool(mag.max < TERMINAL_NULL_REL * max(base_max, 1e-300))
         passed = null or rep.passes({"beltrami": MEMBER_GATE, "divergence": MEMBER_GATE})
         members.append(
             OrbitMember(

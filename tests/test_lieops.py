@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_solenoidal_field
 
-from mhstools import beltrami
+from mhstools import beltrami, lieops
 from mhstools.domains import Domain, sample
 from mhstools.fields import cos, curl, exp, sin, vector, x, y, z
 from mhstools.lieops import (
@@ -146,6 +146,18 @@ class TestOrbits:
         assert not m2.terminal_null
         assert m2.report.max("beltrami") < 1e-7
         assert m2.report.max("divergence") < 1e-8
+
+    def test_base_norm_is_evaluated_once(self, monkeypatch):
+        # member 0 is the base field: its norm also sets the terminal-null scale
+        fields = []
+        real = lieops.vector_norm_stats
+        monkeypatch.setattr(lieops, "vector_norm_stats",
+                            lambda w, samples: fields.append(w) or real(w, samples))
+        rec = beltrami.catalog("zsq_x3")
+        orbit = lie_generate(rec, KillingParams((0, 0, 0), (0, 0, 1)), 2,
+                             samples=sample(rec.domain, 100))
+        assert len(fields) == 3  # not 4: the base norm is member 0's
+        assert [m.field for m in orbit.members] == fields
 
     def test_deep_member_is_exact(self):
         # member 4 takes fifth derivatives of the base field; exact jets keep

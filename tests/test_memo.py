@@ -1,0 +1,106 @@
+"""One evaluation memo per report: the same numbers from fewer tree walks."""
+
+import numpy as np
+import pytest
+
+from mhstools import checks, clebsch, registry, symmetry
+from mhstools import fields as F
+from mhstools.beltrami import HarmonicPair, from_harmonic_pair
+from mhstools.checks import residual_report
+from mhstools.domains import Domain, SampleSet, sample
+from mhstools.fields import Curl, Divergence, cos, exp, log, sin, vector, x, y, z
+from mhstools.symmetry import killing_scan
+
+OFFSET_BOX = Domain.box((-1.0, 0.5, 0.5), (1.0, 1.5, 1.5))
+
+
+def _fresh(f, pts, memo=None):
+    """`evaluate` with the memo dropped: every channel and column walks alone."""
+    return F.evaluate(f, pts)
+
+
+def _subject(name):
+    """(residual-report callable, field, domain) of a catalog entry or a built record."""
+    if name == "family":
+        rng = np.random.default_rng(121)
+        a, b = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+        g, d = rng.uniform(-0.3, 0.3), rng.uniform(-0.5, 0.5)
+        sol = clebsch.make_clebsch_family(a, b, g, d, OFFSET_BOX)
+        return sol.residual_report, sol.w, sol.domain
+    if name == "harmonic_pair":
+        rec = from_harmonic_pair(HarmonicPair(exp(x) * sin(y), -exp(x) * cos(y)), exp(z))
+        return rec.residual_report, rec.field, rec.domain
+    e = registry.get(name)
+    obj = e.record if e.record is not None else e.solution
+    return obj.residual_report, e.field, e.domain
+
+
+@pytest.mark.parametrize("name", registry.names() + ["family", "harmonic_pair"])
+def test_memo_changes_no_number(name, monkeypatch):
+    report, field, domain = _subject(name)
+    ss = sample(domain, 500)
+    rep = report(ss).to_dict()
+    scan = killing_scan(field, domain, samples=ss)
+    monkeypatch.setattr(checks, "evaluate", _fresh)
+    monkeypatch.setattr(symmetry, "evaluate", _fresh)
+    assert rep == report(ss).to_dict()
+    alone = killing_scan(field, domain, samples=ss)
+    assert scan.singular_values == alone.singular_values
+    assert scan.null_basis == alone.null_basis
+    assert scan.to_dict() == alone.to_dict()
+
+
+def test_shared_node_keeps_error_counts():
+    # log(x) fails on rows 1, 2 and 4; every channel reaches the one vector node,
+    # "doubled" twice at order 0, "curl" and "div" at order 1
+    v = vector(log(x), y, 1.0)
+    pts = np.array([[1.0, 0.5, 0.0], [-1.0, 0.2, 0.1], [0.0, 0.3, 0.2],
+                    [2.0, -0.4, 0.3], [-0.5, 0.1, 0.4], [0.3, 0.9, 0.5]])
+    ss = SampleSet(points=pts, generator="halton", seed=0,
+                   domain=Domain.box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)))
+    rep = residual_report("shared", ss, {"field": v, "doubled": v + v,
+                                         "curl": Curl(v), "div": Divergence(v)})
+    assert {k: s.n_errors for k, s in rep.checks.items()} == {
+        "field": 3, "doubled": 3, "curl": 3, "div": 3}
+    assert rep.notes["error_nodes"] == {"log(x)": 15}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.fixture
+def node_evaluations(monkeypatch):
+    """Every computed node jet, as (node, order); memo hits are not counted."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(self, pts, order=2, ctx=None):
+            calls.append((self, order))
+            return fn(self, pts, order, ctx)
+        return wrapped
+
+    for base, name in ((F.ScalarField, "jet"), (F.VectorField, "_jets")):
+        for cls in _subclasses(base):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, counting(vars(cls)[name]))
+    return calls
+
+
+def test_report_evaluation_budget(node_evaluations):
+    sol = clebsch.catalog("w4_3")
+    ss = sample(sol.domain, 200)
+    node_evaluations.clear()  # building the entry runs a report too
+    sol.residual_report(ss)
+    assert len(node_evaluations) <= 130  # 275 without the memo
+
+
+def test_scan_evaluation_budget(node_evaluations):
+    sol = clebsch.catalog("w4_3")
+    ss = sample(sol.domain, 200)
+    node_evaluations.clear()
+    killing_scan(sol.w, sol.domain, samples=ss)
+    assert len(node_evaluations) <= 60  # 195 without the memo
+    assert sum(node is sol.w and order == 1 for node, order in node_evaluations) == 1
