@@ -3,12 +3,14 @@
 Solves a . grad(psi) = c for psi by integrating the characteristic ODE
 dp/dt = a(p) backwards from each target point until it crosses the initial
 surface, then carrying the initial datum forward with the constant source.
-Integration is the Dormand-Prince 5(4) pair with a step controller per lane,
-batched over all targets (Dormand & Prince, J. Comput. Appl. Math. 6 (1980)
-19-26; Hairer, Norsett & Wanner, Solving ODEs I, II.4-5).  The crossing inside
-the bracketing step is located by a safeguarded Newton iteration on the step
-fraction, run only on the lanes that crossed.  The embedded local error
-estimates, summed along each lane with a roundoff term per step, give the
+Integration is the eighth-order Dormand-Prince pair DOP853 with a step
+controller per lane, batched over all targets (Prince & Dormand, J. Comput.
+Appl. Math. 7 (1981) 67-75; Hairer, Norsett & Wanner, Solving ODEs I, II.4-5
+and II.10).  The crossing inside the bracketing step is located by a
+safeguarded Newton iteration on the step fraction, run only on the lanes that
+crossed, inside a bracket on which the surface changes sign.  The embedded
+local error estimates, summed along each lane with a roundoff term per step,
+plus the distance from the hit point that this bracket allows, give the
 error estimate per point.
 """
 
@@ -57,18 +59,39 @@ _TIME_TOL = 1e-15
 _MAX_CROSSING_ITERATIONS = 110
 _EPS = np.finfo(float).eps
 
-# Dormand-Prince 5(4): stage rows of the tableau (the last is the 5th-order
-# solution, whose end point is the first stage of the next step) and the
-# difference between the 5th- and 4th-order weights over all seven stages
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10): the rows of stages 2..12 and, last, the 8th-order weights, whose end
+# point is the first stage of the next step; then the 5th- and 3rd-order error
+# weights over stages 1..12
+_ROWS = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
 )
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+       -0.022355307863886294)
+_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+       -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+       0.02265179219836082)
 
 # per-lane outcome codes; `_MESSAGES[code]` is the failure message
 _OK, _LEFT_DOMAIN, _EVAL_FAILED, _BUDGET, _DATA_FAILED = range(5)
@@ -82,18 +105,28 @@ _MESSAGES = (
 
 
 def _dp_step(a: VectorField, p: np.ndarray, k1: np.ndarray, h: np.ndarray):
-    """One Dormand-Prince step of dp/dt = a(p) with per-row step h.
+    """One DOP853 step of dp/dt = a(p) with per-row step h.
 
-    k1 = a(p).  Returns the 5th-order end point, a at the end point and the
-    embedded local error vector.
+    k1 = a(p).  Returns the 8th-order end point, a at the end point and the
+    local error vector.  Each component of the error is Hairer's combination
+    h err5 |err5| / sqrt(err5^2 + 0.01 err3^2) of the 5th- and 3rd-order
+    embedded estimates.  It is O(h^8), so it bounds the O(h^9) local error
+    of the 8th-order solution once h is small.
     """
+    # stage derivatives stacked, so that each stage is one weighted sum
+    k = np.empty((len(_ROWS) + 1,) + p.shape)
+    k[0] = k1
+    flat = k.reshape(k.shape[0], -1)
     h = h[:, None]
-    k = [k1]
-    for row in _A:
-        q = p + h * sum(c * kj for c, kj in zip(row, k) if c)
-        k.append(a.values(q))
-    # the last row is the 5th-order solution, so q is the end point
-    return q, k[-1], h * sum(e * kj for e, kj in zip(_E, k) if e)
+    for j, row in enumerate(_ROWS, 1):
+        q = p + h * np.einsum("i,ij->j", row, flat[:j]).reshape(p.shape)
+        k[j] = a.values(q)
+    # the last row is the 8th-order solution, so q is the end point
+    e5 = np.einsum("i,ij->j", _E5, flat[:-1]).reshape(p.shape)
+    e3 = np.einsum("i,ij->j", _E3, flat[:-1]).reshape(p.shape)
+    den = np.sqrt(e5 * e5 + 0.01 * e3 * e3)
+    ratio = np.divide(np.abs(e5), den, out=np.zeros_like(den), where=den > 0.0)
+    return q, k[-1], h * e5 * ratio
 
 
 def _trace(prob: CharacteristicsProblem, pts: np.ndarray, max_time: float):
@@ -156,7 +189,7 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, max_time: float):
             bad = ~np.isfinite(enorm) | ~np.isfinite(s1)
             reason[live[bad]] = _EVAL_FAILED
             accept = (enorm <= 1.0) & ~bad
-            factor = np.clip(0.9 * enorm ** -0.2, 0.2, 5.0)
+            factor = np.clip(0.9 * enorm ** -0.125, 0.2, 5.0)
             h[live] = hl * np.where(accept, factor, np.minimum(factor, 1.0))
 
             ai = live[accept]
@@ -168,12 +201,12 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, max_time: float):
             crossed = s0 * s1 <= 0.0
             if crossed.any():
                 ci = ai[crossed]
-                frac, hp = _crossing(a, surf, gsurf, p0[crossed], k[ci], s0[crossed],
-                                     p1[crossed], s1[crossed], sign[ci] * hl[crossed])
+                frac, hp, miss = _crossing(a, surf, gsurf, p0[crossed], k[ci], s0[crossed],
+                                           p1[crossed], k1[crossed], s1[crossed],
+                                           sign[ci] * hl[crossed])
                 hit_p[ci] = hp
                 hit_t[ci] = t[ci] + hl[crossed] * frac
-                # the hit time is resolved to _TIME_TOL
-                err[ci] += _TIME_TOL * np.linalg.norm(k1[crossed], axis=1)
+                err[ci] += miss
                 done[ci] = True
             escaped = np.zeros(ai.size, dtype=bool)
             if dom is not None:
@@ -198,8 +231,9 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, max_time: float):
 
 
 def _crossing(a, surf, gsurf, p0: np.ndarray, k0: np.ndarray, s0: np.ndarray,
-              p1: np.ndarray, s1: np.ndarray, h: np.ndarray):
-    """Per-row step fraction in (0, 1] at which the surface is crossed, and the point.
+              p1: np.ndarray, k1: np.ndarray, s1: np.ndarray, h: np.ndarray):
+    """Per-row step fraction in (0, 1] at which the surface is crossed, the
+    point there and a bound on that point's distance from the crossing.
 
     Safeguarded Newton iteration on s(frac) = surface(dp_step(p0, h frac)),
     with d s/d frac = h a(p) . grad s(p), kept inside the bisection bracket
@@ -207,34 +241,71 @@ def _crossing(a, surf, gsurf, p0: np.ndarray, k0: np.ndarray, s0: np.ndarray,
     is not finite, or is more than half the previous step is replaced by the
     midpoint.  Newton's ratio is (m - 1)/m at an m-fold root, so there every
     other step bisects and the bracket keeps halving.  It starts from the
-    secant guess and retires a lane once s == 0 or once the Newton update or
-    the bracket is below `_TIME_TOL` in flow time.  Every lane returns the
-    evaluated fraction of least |s| (the step's end, frac = 1, included).
+    secant guess.  Each call also evaluates two guards `_TIME_TOL` of flow
+    time either side of the iterate, and every point inside the bracket
+    narrows it, so a simple root is bracketed to 2 `_TIME_TOL` in the call
+    that finds it.  A lane retires once its bracket is that narrow, or once
+    s == 0 or the Newton update is below `_TIME_TOL`.  Every lane returns the
+    evaluated iterate of least |s| (the step's end, frac = 1, included).
+
+    At an m-fold root Newton's last update understates the distance to the
+    root about m-fold, so a lane that retired on its update goes on to
+    evaluate guards about the returned fraction, 4, 16, ... `_TIME_TOL` away,
+    until they narrow its bracket to twice their distance.  The bracket
+    always holds a sign change of s, so its end farther from the returned
+    fraction, in flow time, times the largest |a| evaluated on the step
+    bounds the distance of the returned point from the crossing.
     """
     m = p0.shape[0]
     lo = np.zeros(m)
     hi = np.ones(m)
+    guard = _TIME_TOL / np.abs(h)  # in step fractions
     frac = s0 / (s0 - s1)
     frac = np.where(np.isfinite(frac) & (frac > 0.0) & (frac <= 1.0), frac, 0.5)
     dx = np.ones(m)
     best = np.ones(m)
     best_p = p1.copy()
     sbest = np.abs(s1)
+    speed = np.maximum(np.linalg.norm(k0, axis=1), np.linalg.norm(k1, axis=1))
+
+    def evaluate(live, rows):
+        # rows stacks blocks of one fraction per live lane; the points inside
+        # the bracket narrow it, and every |a| evaluated counts in speed
+        blocks = rows.size // live.size
+        p, kp, _ = _dp_step(a, np.tile(p0[live], (blocks, 1)),
+                            np.tile(k0[live], (blocks, 1)), np.tile(h[live], blocks) * rows)
+        s = surf.values(p)
+        speed[live] = np.maximum(
+            speed[live], np.linalg.norm(kp, axis=1).reshape(blocks, -1).max(axis=0))
+        f = rows.reshape(blocks, -1)
+        side = (np.tile(s0[live], blocks) * s).reshape(blocks, -1)
+        # lo keeps the sign of s0, hi the other sign or a zero; a NaN moves neither
+        lol, hil = lo[live], hi[live]
+        inside = (lol < f) & (f < hil)
+        new_lo = np.maximum(lol, np.where(inside & (side > 0.0), f, 0.0).max(axis=0))
+        new_hi = np.minimum(hil, np.where(inside & (side <= 0.0), f, 1.0).min(axis=0))
+        # where s changes sign more than once among the points, keep the bracket
+        keep = new_lo < new_hi
+        lo[live] = np.where(keep, new_lo, lol)
+        hi[live] = np.where(keep, new_hi, hil)
+        return p, kp, s
+
     live = np.arange(m)
     for _ in range(_MAX_CROSSING_ITERATIONS):
-        fl, hl = frac[live], h[live]
-        p, kp, _ = _dp_step(a, p0[live], k0[live], hl * fl)
-        s = surf.values(p)
+        n = live.size
+        fl, hl, gl = frac[live], h[live], guard[live]
+        lol, hil = lo[live], hi[live]
+        p, kp, s = evaluate(live, np.concatenate(
+            [fl, np.maximum(fl - gl, lol), np.minimum(fl + gl, hil)]))
+        p, kp, s = p[:n], kp[:n], s[:n]
         ds = hl * np.einsum("ij,ij->i", kp, gsurf.values(p))
         closer = np.abs(s) < sbest[live]
         best[live[closer]] = fl[closer]
         best_p[live[closer]] = p[closer]
         sbest[live[closer]] = np.abs(s[closer])
-        left = s0[live] * s > 0.0
-        lo[live] = lol = np.where(left, fl, lo[live])
-        hi[live] = hil = np.where(left, hi[live], fl)
         step = s / ds
         newton = fl - step
+        lol, hil = lo[live], hi[live]
         bisect = (
             ~np.isfinite(newton) | (newton <= lol) | (newton >= hil)
             | (np.abs(step) > 0.5 * dx[live])
@@ -242,11 +313,26 @@ def _crossing(a, surf, gsurf, p0: np.ndarray, k0: np.ndarray, s0: np.ndarray,
         new = np.where(bisect, 0.5 * (lol + hil), newton)
         dx[live] = np.abs(new - fl)
         frac[live] = new
-        small = np.minimum(np.abs(step), hil - lol) * np.abs(hl) <= _TIME_TOL
+        small = np.minimum(np.abs(step), 0.5 * (hil - lol)) <= gl
         live = live[~((s == 0.0) | small)]
         if live.size == 0:
             break
-    return best, best_p
+
+    # lanes that retired on a small update: widen the guards about the
+    # returned fraction until they narrow the bracket to 2 g, by g >= 1/2 at
+    # the latest; a lane still open after the cap keeps its wider bracket
+    live = np.flatnonzero(hi - lo > 2.0 * guard)
+    g = 4.0 * guard
+    for _ in range(_MAX_CROSSING_ITERATIONS):
+        if live.size == 0:
+            break
+        fl, gl = best[live], g[live]
+        evaluate(live, np.concatenate([np.maximum(fl - gl, lo[live]),
+                                       np.minimum(fl + gl, hi[live])]))
+        g[live] *= 4.0
+        live = live[hi[live] - lo[live] > 2.0 * gl]
+    miss = np.maximum(np.abs(best - lo), np.abs(hi - best)) * np.abs(h) * speed
+    return best, best_p, miss
 
 
 def solve_characteristics(
@@ -256,15 +342,16 @@ def solve_characteristics(
 ) -> list[CharacteristicResult]:
     """psi at each target point, with an error estimate.
 
-    Each target is traced with adaptive Dormand-Prince 5(4) steps until its
+    Each target is traced with adaptive DOP853 steps until its
     characteristic crosses the initial surface within `max_time`.  The error
     estimate is the accumulated position error of the trace (embedded local
-    estimates, a roundoff term per step and the crossing tolerance) times
-    |grad psi| at the hit point, where grad psi = grad data + n (c - a . grad
-    data) / (a . n) with n the unit normal of the initial surface.  Where the
-    surface has an m-fold root on the crossing, the hit time is resolved only
-    to about m times the crossing tolerance, which the estimate does not
-    count.  Points already on the surface get psi = data and estimate 0.
+    estimates, a roundoff term per step and the distance of the hit point
+    from the crossing) times |grad psi| at the hit point, where grad psi =
+    grad data + n (c - a . grad data) / (a . n) with n the unit normal of the
+    initial surface.  That distance is bounded by a bracket on which the
+    surface changes sign, so it holds where the surface has an m-fold root
+    on the crossing, whose hit time Newton's last update understates about
+    m-fold.  Points already on the surface get psi = data and estimate 0.
     """
     pts = targets.points if isinstance(targets, SampleSet) else np.asarray(targets, float)
     if pts.ndim == 1:

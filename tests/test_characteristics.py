@@ -1,10 +1,16 @@
 """Transport solver against the closed-form potentials it must reproduce."""
 
+import math
+
 import numpy as np
 
 from mhstools.characteristics import (
+    _E3,
+    _E5,
+    _ROWS,
     CharacteristicsProblem,
     InitialCurve,
+    _dp_step,
     solve_characteristics,
 )
 from mhstools.domains import Domain, sample
@@ -25,6 +31,37 @@ def assert_honest(results, expect):
     est = np.array([r.error_estimate for r in results])
     assert (est >= np.abs(vals - expect)).all()
     assert est.max() < 1e-8
+
+
+def test_dop853_tableau_is_transcribed():
+    # nodes of stages 2..12 and of the end point in closed form (Hairer,
+    # Norsett & Wanner, Solving ODEs I, II.10); each sum is checked to 1e-15
+    # of the sum of magnitudes, the rounding of its 17-digit literals
+    r6 = math.sqrt(6.0)
+    nodes = ((6 - r6) / 67.5, (6 - r6) / 45, (6 - r6) / 30, (6 + r6) / 30,
+             1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0, 1.0)
+    assert [len(row) for row in _ROWS] == list(range(1, 13))
+    for row, node in zip(_ROWS, nodes):
+        assert abs(math.fsum(row) - node) <= 1e-15 * math.fsum(map(abs, row))
+    # the last row holds the weights of the 8th-order solution
+    assert abs(math.fsum(_ROWS[-1]) - 1.0) <= 1e-15
+    for e in (_E5, _E3):
+        assert len(e) == 12
+        assert abs(math.fsum(e)) <= 1e-15 * math.fsum(map(abs, e))
+
+
+def test_dop853_step_is_eighth_order():
+    # one step of dx/dt = x from x = 1 against e^h: the local error is
+    # O(h^9), so each halving of h cuts it by about 2^9
+    a = vector(x, 0.0, 0.0)
+    p = np.array([[1.0, 0.0, 0.0]])
+    errors = []
+    for h in (0.8, 0.4, 0.2):
+        q, _, e = _dp_step(a, p, a.values(p), np.array([h]))
+        errors.append(abs(q[0, 0] - np.exp(h)))
+        assert np.linalg.norm(e) >= errors[-1]
+    assert errors[0] / errors[1] >= 2**8
+    assert errors[1] / errors[2] >= 2**8
 
 
 def test_reproduces_log_potential():
@@ -134,8 +171,9 @@ def test_crossing_beyond_the_domain_is_not_a_hit():
 
 
 def test_transport_costs_few_field_evaluations(monkeypatch):
-    # a deterministic cost guard: about 1,700 calls trace these 50 targets,
-    # where a fixed step of 1e-3 with a rerun at half step takes 18,624
+    # a deterministic cost guard: 327 calls trace these 50 targets, where
+    # Dormand-Prince 5(4) steps took 1,719 and a fixed step of 1e-3 with a
+    # rerun at half step 18,624
     calls = [0]
     values = VectorField.values
 
@@ -149,23 +187,28 @@ def test_transport_costs_few_field_evaluations(monkeypatch):
     )
     results = solve_characteristics(prob, sample(TARGET_BOX, 50))
     assert all(r.ok for r in results)
-    assert calls[0] < 6000
+    assert calls[0] < 500
 
 
 def test_degenerate_crossing_is_exact():
     # the surface's gradient vanishes on the crossing, so a single Newton (or
-    # Henon) step from the bracketing step is only first-order accurate there
-    prob = CharacteristicsProblem(
-        advecting=vector(0.0, 0.0, 1.0),
-        source=-1.0,
-        initial=InitialCurve(surface=(z - 0.5) ** 3, data=0.0 * y),
-        domain=Domain.box((-2, -2, -2), (2, 2, 3)),
-    )
-    targets = sample(Domain.box((-1, -1, -0.5), (1, 1, 1.5)), 100, generator="random", seed=3)
-    results = solve_characteristics(prob, targets)
-    assert all(r.ok for r in results)
-    vals = np.array([r.value for r in results])
-    assert np.abs(vals - (0.5 - targets.points[:, 2])).max() < 1e-12
+    # Henon) step from the bracketing step is only first-order accurate there,
+    # and Newton's last update understates the distance to the root m-fold;
+    # the estimate must still bound the error on every target
+    targets = sample(Domain.box((-1, -1, -0.5), (1, 1, 1.5)), 200, generator="random", seed=3)
+    expect = 0.5 - targets.points[:, 2]
+    for m in (3, 5):
+        prob = CharacteristicsProblem(
+            advecting=vector(0.0, 0.0, 1.0),
+            source=-1.0,
+            initial=InitialCurve(surface=(z - 0.5) ** m, data=0.0 * y),
+            domain=Domain.box((-2, -2, -2), (2, 2, 3)),
+        )
+        results = solve_characteristics(prob, targets)
+        assert all(r.ok for r in results)
+        vals = np.array([r.value for r in results])
+        assert np.abs(vals - expect).max() < 1e-12
+        assert_honest(results, expect)
 
 
 def test_multiple_root_start_is_not_on_the_surface():
