@@ -125,10 +125,11 @@ class BeltramiRecord:
 
 
 def beltrami_residual(w: VectorField, h: ScalarField, samples: SampleSet,
-                      label: str = "beltrami") -> ResidualReport:
-    """|curl w - h w| and |div w| statistics."""
+                      label: str = "beltrami", memo: dict | None = None) -> ResidualReport:
+    """|curl w - h w| and |div w| statistics (`memo` as in `residual_report`)."""
     res = F.Curl(w) - F.VScale(h, w)
-    return residual_report(label, samples, {"beltrami": res, "divergence": Divergence(w)})
+    return residual_report(label, samples, {"beltrami": res, "divergence": Divergence(w)},
+                           memo)
 
 
 def from_harmonic_pair(

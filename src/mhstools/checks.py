@@ -32,15 +32,19 @@ def vector_norm_stats(w: VectorField, samples: SampleSet,
     return stats_from_values(norm, ctx.invalid), ctx.errors
 
 
-def residual_report(label: str, samples: SampleSet, channels: dict) -> ResidualReport:
+def residual_report(label: str, samples: SampleSet, channels: dict,
+                    memo: dict | None = None) -> ResidualReport:
     """Evaluate named scalar/vector residual expressions into one report.
 
     The channels share one evaluation memo, so a subtree they have in common
-    is walked once; the memo is dropped when the report is built.
+    is walked once.  By default the memo is the report's own and is dropped
+    when the report is built; a caller that checks several related fields
+    (an orbit) passes its own.
     """
     checks: dict[str, CheckStats] = {}
     errors: dict[str, int] = {}
-    memo: dict = {}
+    if memo is None:
+        memo = {}
     for name, expr in channels.items():
         if isinstance(expr, VectorField):
             st, errs = vector_norm_stats(expr, samples, memo)

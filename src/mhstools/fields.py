@@ -33,9 +33,11 @@ class EvaluationError(ValueError):
 class EvalContext:
     """Per-evaluation record of invalid sample points.
 
-    `memo`, when set, is a dict shared by the evaluations of one report: vector
-    nodes keep their component jets there (see `VectorField.jets`).  `flags`
-    lists every (node, mask) raised, so a reused subtree can raise them again.
+    `memo`, when set, is a dict shared by the evaluations of one report, scan
+    or orbit: each vector node keeps its component jets there, one entry per
+    (node, points) at the highest order asked (see `VectorField.jets`).
+    `flags` lists every (node, mask) raised, so a reused subtree can raise
+    them again.
     """
 
     __slots__ = ("invalid", "errors", "flags", "memo")
@@ -78,7 +80,8 @@ def evaluate(f: "ScalarField | VectorField", pts: np.ndarray,
     Invalid samples are flagged in the returned context, not masked, and
     floating-point warnings are silenced.  All order-0 evaluation goes here.
     Evaluations that pass the same `memo` dict walk a shared vector subtree
-    once; the dict holds jets and must be dropped when the report is done.
+    once; the dict holds jets and must be dropped when the report, scan or
+    orbit that owns it is done.
     """
     ctx = EvalContext(pts.shape[0])
     ctx.memo = memo
@@ -488,25 +491,31 @@ class VectorField(Field):
 
         Derivative blocks up to `order` (0: values, 1: +gradients,
         2: +Hessians, ...) are computed, nothing above it.  Under a memo
-        (`ctx.memo`) they are computed once per (node, order, points) and
-        shared, so no caller may write into their blocks; each reuse raises
-        the subtree's flags again, so invalid masks and error counts are
-        those of a fresh walk.
+        (`ctx.memo`) each (node, points) pair keeps the jets of the highest
+        order asked so far: a request at that order or below is answered from
+        them, truncated (block d is the same at every order, so a truncated
+        jet is bit-identical to a fresh one), and a higher request recomputes
+        and replaces them.  The blocks are shared, so no caller may write into
+        them; each reuse raises the subtree's flags again, so invalid masks
+        and error counts are those of a fresh walk.
         """
         memo = None if ctx is None else ctx.memo
         if memo is None:
             return self._jets(pts, order, ctx)
-        key = (id(self), order, id(pts))
+        key = (id(self), id(pts))
         hit = memo.get(key)
-        if hit is None:
+        if hit is None or hit[2] < order:
             start = len(ctx.flags)
             out = self._jets(pts, order, ctx)
             # the entry holds the node and the points, so neither id is reused
-            memo[key] = (self, pts, out, ctx.flags[start:])
+            memo[key] = (self, pts, order, out, ctx.flags[start:])
             return out
-        for node, mask in hit[3]:
+        _, _, have, out, flags = hit
+        for node, mask in flags:
             ctx.flag(node, mask)
-        return hit[2]
+        if have == order:
+            return out
+        return tuple(Jet(j.c[:order + 1]) for j in out)
 
     def __add__(self, other):
         return VAdd(self, other)

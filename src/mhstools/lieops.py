@@ -8,6 +8,12 @@ members are kept as structural expression nodes, so every member is
 evaluated exactly to roundoff: each extra level asks the base field for one
 more derivative order of its Taylor jets.  The depth cap bounds the cost (the
 jets grow with the order), not the accuracy, so every member has one gate.
+
+An orbit shares one evaluation memo across its members.  The deepest
+member's curl is walked first, which computes every member's jets, and the
+base field's at order d + 1, once; each member's report and norm then read
+lower orders off those jets by truncation, which is bit-identical to a fresh
+walk.  An orbit of depth d therefore costs one tree walk at order d + 1.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from .beltrami import BeltramiRecord, beltrami_residual
 from .checks import residual_report, scalar_abs_stats, vector_norm_stats
 from .domains import SampleSet, sample
-from .fields import Curl, Divergence, Dot, Gradient, ScalarField, VectorField
+from .fields import Curl, Divergence, Dot, Gradient, ScalarField, VectorField, evaluate
 from .reports import ResidualReport
 from .symmetry import KillingParams, lie_euclidean
 
@@ -40,9 +46,11 @@ def commutator_defect(
     The defect takes second derivatives of w, and more when w is itself
     built from derivative nodes; all are exact, so it reads roundoff.
     """
-    div_st, _ = scalar_abs_stats(Divergence(w), samples)
+    # the defect asks w for order 2; the divergence then reads order 1 off it
+    memo: dict = {}
     defect = lie_euclidean(Curl(w), k) - Curl(lie_euclidean(w, k))
-    rep = residual_report("commutator", samples, {"commutator": defect})
+    rep = residual_report("commutator", samples, {"commutator": defect}, memo)
+    div_st, _ = scalar_abs_stats(Divergence(w), samples, memo)
     rep.notes["divergence_max"] = div_st.max
     return rep
 
@@ -120,12 +128,20 @@ def lie_generate(
             f"|xi . grad h| max = {hk.max('h_symmetry'):.3e}"
         )
 
+    chain = [base.field]
+    for _ in range(n):
+        chain.append(lie_euclidean(chain[-1], k))
+    memo: dict = {}
+    # walk the deepest member's curl first: it asks every member, and the base
+    # field at order n + 1, for its jets once, and the checks below read them
+    evaluate(Curl(chain[-1]), samples.points, memo)
+
     members: list[OrbitMember] = []
-    current = base.field
     truncated = False
-    for i in range(n + 1):
-        rep = beltrami_residual(current, base.h, samples, label=f"orbit_member_{i}")
-        mag, _ = vector_norm_stats(current, samples)
+    for i, current in enumerate(chain):
+        rep = beltrami_residual(current, base.h, samples, label=f"orbit_member_{i}",
+                                memo=memo)
+        mag, _ = vector_norm_stats(current, samples, memo)
         base_max = members[0].max_magnitude if members else mag.max
         null = bool(mag.max < TERMINAL_NULL_REL * max(base_max, 1e-300))
         passed = null or rep.passes({"beltrami": MEMBER_GATE, "divergence": MEMBER_GATE})
@@ -145,8 +161,6 @@ def lie_generate(
         if not passed:
             truncated = True
             break
-        if i < n:
-            current = lie_euclidean(current, k)
 
     orbit = LieOrbit(base=base, generator=k, members=members, truncated=truncated)
     if truncated:

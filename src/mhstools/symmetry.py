@@ -148,14 +148,16 @@ def killing_scan(w: VectorField, domain: Domain, samples: SampleSet | None = Non
         raise ValueError("need at least 6 samples for a 6-parameter scan")
     pts = samples.points
 
-    memo: dict = {}  # the six columns share one order-1 jet of w
-    wvals, ctx = evaluate(w, pts, memo)
-    valid = ~ctx.invalid & np.isfinite(wvals).all(axis=1)
+    # the six columns share one order-1 jet of w; its values are a truncation
+    memo: dict = {}
+    valid = np.ones(pts.shape[0], dtype=bool)
     cols = []
     for gen in CANONICAL_GENERATORS:
         col, ctx = evaluate(lie_euclidean(w, gen), pts, memo)
         valid &= ~ctx.invalid & np.isfinite(col).all(axis=1)
         cols.append(col)
+    wvals, ctx = evaluate(w, pts, memo)
+    valid &= ~ctx.invalid & np.isfinite(wvals).all(axis=1)
     if int(valid.sum()) < 6:
         raise ValueError("too few valid samples for the scan")
 

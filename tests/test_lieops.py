@@ -152,7 +152,7 @@ class TestOrbits:
         fields = []
         real = lieops.vector_norm_stats
         monkeypatch.setattr(lieops, "vector_norm_stats",
-                            lambda w, samples: fields.append(w) or real(w, samples))
+                            lambda w, samples, memo: fields.append(w) or real(w, samples, memo))
         rec = beltrami.catalog("zsq_x3")
         orbit = lie_generate(rec, KillingParams((0, 0, 0), (0, 0, 1)), 2,
                              samples=sample(rec.domain, 100))

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from mhstools import checks, clebsch, registry, symmetry
+from mhstools import beltrami, checks, clebsch, lieops, registry, symmetry
 from mhstools import fields as F
 from mhstools.beltrami import HarmonicPair, from_harmonic_pair
 from mhstools.checks import residual_report
 from mhstools.domains import Domain, SampleSet, sample
 from mhstools.fields import Curl, Divergence, cos, exp, log, sin, vector, x, y, z
-from mhstools.symmetry import killing_scan
+from mhstools.lieops import commutator_defect, lie_generate
+from mhstools.symmetry import KillingParams, killing_scan
 
 OFFSET_BOX = Domain.box((-1.0, 0.5, 0.5), (1.0, 1.5, 1.5))
 
@@ -50,19 +51,26 @@ def test_memo_changes_no_number(name, monkeypatch):
     assert scan.to_dict() == alone.to_dict()
 
 
-def test_shared_node_keeps_error_counts():
+def test_shared_node_keeps_error_counts(monkeypatch):
     # log(x) fails on rows 1, 2 and 4; every channel reaches the one vector node,
-    # "doubled" twice at order 0, "curl" and "div" at order 1
+    # "doubled" twice at order 0, "curl" and "div" at order 1.  Order 0 first
+    # makes the order-1 request replace the entry; order 1 first serves every
+    # order-0 request by truncation.
     v = vector(log(x), y, 1.0)
     pts = np.array([[1.0, 0.5, 0.0], [-1.0, 0.2, 0.1], [0.0, 0.3, 0.2],
                     [2.0, -0.4, 0.3], [-0.5, 0.1, 0.4], [0.3, 0.9, 0.5]])
     ss = SampleSet(points=pts, generator="halton", seed=0,
                    domain=Domain.box((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)))
-    rep = residual_report("shared", ss, {"field": v, "doubled": v + v,
-                                         "curl": Curl(v), "div": Divergence(v)})
-    assert {k: s.n_errors for k, s in rep.checks.items()} == {
-        "field": 3, "doubled": 3, "curl": 3, "div": 3}
-    assert rep.notes["error_nodes"] == {"log(x)": 15}
+    order0_first = {"field": v, "doubled": v + v, "curl": Curl(v), "div": Divergence(v)}
+    orders = [order0_first, dict(reversed(order0_first.items()))]
+    reports = [residual_report("shared", ss, channels) for channels in orders]
+    for rep in reports:
+        assert {k: s.n_errors for k, s in rep.checks.items()} == {
+            "field": 3, "doubled": 3, "curl": 3, "div": 3}
+        assert rep.notes["error_nodes"] == {"log(x)": 15}
+    monkeypatch.setattr(checks, "evaluate", _fresh)
+    for rep, channels in zip(reports, orders):
+        assert rep.to_dict() == residual_report("shared", ss, channels).to_dict()
 
 
 def _subclasses(cls):
@@ -103,4 +111,34 @@ def test_scan_evaluation_budget(node_evaluations):
     node_evaluations.clear()
     killing_scan(sol.w, sol.domain, samples=ss)
     assert len(node_evaluations) <= 60  # 195 without the memo
-    assert sum(node is sol.w and order == 1 for node, order in node_evaluations) == 1
+    # the columns ask w for order 1 and the scan's own values are a truncation
+    assert sum(node is sol.w for node, _ in node_evaluations) == 1
+
+
+# a generic generator that keeps h(z): a translation in x, y and a z-rotation
+H_Z_GENERATOR = KillingParams((0.3, -0.2, 0.0), (0.0, 0.0, 0.7))
+
+
+def test_orbit_walks_each_member_once(node_evaluations):
+    rec = beltrami.catalog("zsq_x3")
+    ss = sample(rec.domain, 1000)
+    node_evaluations.clear()
+    orbit = lie_generate(rec, KillingParams((0, 0, 0), (0, 0, 1)), 4, samples=ss)
+    assert len(orbit.members) == 5
+    # member i is computed once, at order 5 - i: the base field once, at order 5
+    for m in orbit.members:
+        assert [o for node, o in node_evaluations if node is m.field] == [5 - m.index]
+
+
+@pytest.mark.parametrize("name", ["zsq_x3", "exp_x3", "example3"])
+def test_orbit_memo_changes_no_number(name, monkeypatch):
+    rec = beltrami.catalog(name)
+    ss = sample(rec.domain, 300)
+    orbit = lie_generate(rec, H_Z_GENERATOR, 4, samples=ss)
+    assert len(orbit.members) == 5
+    member1 = orbit.members[1].field
+    defect = commutator_defect(member1, H_Z_GENERATOR, ss)
+    monkeypatch.setattr(checks, "evaluate", _fresh)
+    monkeypatch.setattr(lieops, "evaluate", _fresh)
+    assert orbit.to_dict() == lie_generate(rec, H_Z_GENERATOR, 4, samples=ss).to_dict()
+    assert defect.to_dict() == commutator_defect(member1, H_Z_GENERATOR, ss).to_dict()
