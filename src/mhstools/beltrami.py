@@ -9,7 +9,7 @@ coefficients and natural domains are pinned here for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -277,12 +277,10 @@ def _zsq_x3() -> BeltramiRecord:
 
 
 def _example3() -> BeltramiRecord:
-    return _angled_exponential(
-        z**2,
-        2.0 * z,
-        _HALF_SPACE_BOX,
-        "example3",
-        "zsq_x3 field in the chart (e^x sin y, -e^x cos y, z^2); z > 0 branch",
+    return replace(
+        _zsq_x3(),
+        name="example3",
+        provenance="zsq_x3 field in the chart (e^x sin y, -e^x cos y, z^2); z > 0 branch",
     )
 
 

@@ -170,26 +170,19 @@ def cmd_catalog(args) -> int:
         if len(args.rest) != 2:
             raise UsageError("usage: catalog show NAME")
         entry = registry.get(args.rest[1])
-        doc = {"schema": SCHEMA, "command": "catalog", "entry": entry.to_dict()}
-        if args.json:
-            _emit(doc, args)
-        else:
-            e = entry.to_dict()
-            print(f"{entry.name} ({entry.kind})")
-            for k in sorted(e):
-                if k != "name":
-                    print(f"  {k}: {e[k]}")
+        e = entry.to_dict()
+        text = [f"{entry.name} ({entry.kind})"]
+        text += [f"  {k}: {e[k]}" for k in sorted(e) if k != "name"]
+        _output({"schema": SCHEMA, "command": "catalog", "entry": e}, args, text)
         return 0
     if args.rest:
         raise UsageError("usage: catalog [show NAME]")
     entries = [registry.get(n).to_dict() for n in registry.names()]
-    if args.json:
-        _emit({"schema": SCHEMA, "command": "catalog", "entries": entries}, args)
-    else:
-        print(f"{'name':12s} {'kind':9s} {'coefficient/pressure':28s} domain")
-        for e in entries:
-            tag = e.get("h") or e.get("chi") or ""
-            print(f"{e['name']:12s} {e['kind']:9s} {tag:28s} {e['domain']['shape']}")
+    text = [f"{'name':12s} {'kind':9s} {'coefficient/pressure':28s} domain"]
+    for e in entries:
+        tag = e.get("h") or e.get("chi") or ""
+        text.append(f"{e['name']:12s} {e['kind']:9s} {tag:28s} {e['domain']['shape']}")
+    _output({"schema": SCHEMA, "command": "catalog", "entries": entries}, args, text)
     return 0
 
 
@@ -455,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list built-in fields")
     p.add_argument("rest", nargs="*")
-    p.add_argument("--json", action="store_true")
+    # catalog spells --format json as --json
+    p.add_argument("--json", dest="format", action="store_const", const="json", default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_catalog)
 

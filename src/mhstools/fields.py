@@ -383,35 +383,29 @@ class Divergence(ScalarField):
 
 @dataclass(frozen=True)
 class Compose1(ScalarField):
-    """Composition g(u) (or g'(u)) of a univariate expression with a field.
+    """Derivative g'(u) of a univariate expression g composed with a field u.
 
     `gexpr` is an expression over a single Placeholder `var`; the chain rule
     is applied exactly by evaluating `gexpr` on jets seeded along the first
-    axis, to the order the caller asks for.  With deriv=1 the node evaluates
-    the derivative of g at u, reading g', g'', ... off one order more.
+    axis, one order above the caller's, and reading g', g'', ... off them.
+    The composition g(u) itself is `substitute(gexpr, {var: u})`.
     """
 
     gexpr: ScalarField
     inner: ScalarField
     var: str = "T"
-    deriv: int = 0
 
     def jet(self, pts, order=2, ctx=None):
-        if self.deriv not in (0, 1):
-            raise ValueError("deriv must be 0 or 1")
         ju = self.inner.jet(pts, order, ctx)
         gx = substitute(self.gexpr, {self.var: X})
         seeded = np.zeros((ju.value.shape[0], 3))
         seeded[:, 0] = ju.value
-        jt = gx.jet(seeded, order + self.deriv, ctx)
-        # g, g', g'', ... along the seeded axis: column 0 of each block
-        g = [jt.value] + [b[:, 0] for b in jt.c[1:]]
-        return ju.chain(g[self.deriv:])
+        jt = gx.jet(seeded, order + 1, ctx)
+        # g', g'', ... along the seeded axis: column 0 of each block
+        return ju.chain([b[:, 0] for b in jt.c[1:]])
 
     def render(self):
-        base = f"[{self.gexpr.render()}]"
-        tag = "'" if self.deriv else ""
-        return f"{base}{tag}({self.inner.render()})"
+        return f"[{self.gexpr.render()}]'({self.inner.render()})"
 
 
 # public constructors --------------------------------------------------------
@@ -470,7 +464,7 @@ def substitute(expr: ScalarField, mapping: dict) -> ScalarField:
         if isinstance(node, Atan2):
             return Atan2(rebuild(node.ynode), rebuild(node.xnode))
         if isinstance(node, Compose1):
-            return Compose1(node.gexpr, rebuild(node.inner), node.var, node.deriv)
+            return Compose1(node.gexpr, rebuild(node.inner), node.var)
         raise TypeError(f"cannot substitute inside node {node!r}")
 
     return rebuild(expr)

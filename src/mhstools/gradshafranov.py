@@ -139,9 +139,9 @@ def _residual_field(prob: GSProblem) -> tuple[ScalarField, ScalarField]:
     g33 = chart.g33
     gtheta = Gradient(theta)
     lap = Divergence(gtheta)
-    chi_prime = Compose1(prob.chi, theta, var="T", deriv=1)
-    w3_of = Compose1(prob.w3, theta, var="T", deriv=0)
-    w3_prime = Compose1(prob.w3, theta, var="T", deriv=1)
+    chi_prime = Compose1(prob.chi, theta, var="T")
+    w3_of = substitute(prob.w3, {"T": theta})
+    w3_prime = Compose1(prob.w3, theta, var="T")
     axial = Divergence(F.VScale(1.0 / g33, Cross(chart.axis_tangent, chart.grad_x3)))
     residual = lap - g33 * chi_prime + w3_of * w3_prime - g33 * w3_of * axial
     if chart.kind == "axisymmetric":
@@ -167,11 +167,11 @@ def gs_reconstruct(prob: GSProblem) -> tuple[VectorField, ScalarField]:
     residual vanishes, the pair passes the full force-balance check.
     """
     chart, theta = prob.chart, prob.theta
-    w3_of = Compose1(prob.w3, theta, var="T", deriv=0)
+    w3_of = substitute(prob.w3, {"T": theta})
     w = Cross(Gradient(theta), chart.grad_x3) + F.VScale(
         w3_of / chart.g33, chart.axis_tangent
     )
-    chi_field = Compose1(prob.chi, theta, var="T", deriv=0)
+    chi_field = substitute(prob.chi, {"T": theta})
     return w, chi_field
 
 

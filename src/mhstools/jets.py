@@ -10,11 +10,12 @@ factor 2), so a partial derivative is an exact column shift one block down.
 
 Arithmetic is exact forward-mode Taylor arithmetic (Griewank & Walther,
 Evaluating Derivatives, 2008, ch. 13) at the lower order of its operands.
-Blocks of degree <= 2 use the closed product and chain rules; higher blocks
-sum Leibniz pair tables, and compositions run through the powers of the
-jet's nilpotent part (Faa di Bruno).  Block d is computed the same way at
-every order, so a high-order jet's low blocks are bit-identical to a
-low-order jet.  Arithmetic never modifies a block in place, so jets share them.
+Every block of degree >= 2 takes one path: products sum Leibniz pair
+tables, and compositions run through the powers of the jet's nilpotent part
+(Faa di Bruno), whose blocks are Leibniz sums too.  Block d is computed the
+same way at every order, so a high-order jet's low blocks are bit-identical
+to a low-order jet.  Arithmetic never modifies a block in place, so jets
+share them.
 """
 
 from __future__ import annotations
@@ -22,30 +23,12 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement, groupby, repeat
 from math import comb, factorial, prod
 
 import numpy as np
 
-# Packed upper-triangle layout for symmetric Hessians: xx, xy, xz, yy, yz, zz.
-PACKED_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # packed index of entry (i, j)
-
-
-def sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Packed symmetrized outer product u (x) v + v (x) u of (N,3) arrays."""
-    out = np.empty(u.shape[:-1] + (6,))
-    for k, (i, j) in enumerate(PACKED_PAIRS):
-        out[..., k] = u[..., i] * v[..., j] + u[..., j] * v[..., i]
-    return out
-
-
-def outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Packed outer product with entries u_i v_j (symmetric inputs assumed)."""
-    out = np.empty(u.shape[:-1] + (6,))
-    for k, (i, j) in enumerate(PACKED_PAIRS):
-        out[..., k] = u[..., i] * v[..., j]
-    return out
+_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # packed index of Hessian entry (i, j)
 
 
 @lru_cache(maxsize=None)
@@ -61,66 +44,100 @@ def _shift(d: int, axis: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _leibniz(d: int, lo: int):
+def _leibniz(d: int, lo: int, square: bool = False):
     """Pair table of the degree-d Leibniz sum over left degrees lo..d-1.
 
     Column alpha sums C(alpha, beta) left[beta] right[alpha - beta], with left
     columns in the concatenated left blocks lo, lo+1, ... and right columns in
-    the concatenated right blocks 1, 2, ...; `starts` marks each column's
-    first pair.
+    the concatenated right blocks 1, 2, ....  With `square`, left and right are
+    the same blocks (lo = 1) and the table sums half the square: each
+    unordered pair once, and a pair of equal factors at half weight.
+
+    The pairs are laid out in slots: with the columns ranked by pair count,
+    most first, slot s holds the s-th pair of the first `widths[s]` ranked
+    columns, and `rank_of` takes the ranked columns back to block order.
+    `scale` lists the runs of rows (start, stop, weight) whose weight is not 1.
     """
-    left, right, weight, starts = [], [], [], []
+    columns = []
     for alpha in monomials(d):
-        starts.append(len(left))
+        pairs = []
         for i in range(lo, d):
             for beta in sorted(set(combinations(alpha, i))):
                 gamma = tuple(sorted((Counter(alpha) - Counter(beta)).elements()))
-                left.append(comb(i + 2, 3) - comb(lo + 2, 3) + monomials(i).index(beta))
-                right.append(comb(d - i + 2, 3) - 1 + monomials(d - i).index(gamma))
-                weight.append(prod(comb(alpha.count(a), beta.count(a)) for a in range(3)))
-    return np.array(left), np.array(right), np.array(weight, dtype=float), np.array(starts)
+                li = comb(i + 2, 3) - comb(lo + 2, 3) + monomials(i).index(beta)
+                ri = comb(d - i + 2, 3) - 1 + monomials(d - i).index(gamma)
+                w = prod(comb(alpha.count(a), beta.count(a)) for a in range(3))
+                if not square or li < ri:
+                    pairs.append((li, ri, w))
+                elif li == ri:
+                    pairs.append((li, ri, w // 2))  # C(2k, k) is even
+        columns.append(pairs)
+    rank = sorted(range(len(columns)), key=lambda a: -len(columns[a]))
+    widths = [sum(len(columns[a]) > s for a in rank) for s in range(len(columns[rank[0]]))]
+    left, right, weight = zip(*(columns[a][s] for s, n in enumerate(widths) for a in rank[:n]))
+    scale, start = [], 0
+    for w, run in groupby(weight):
+        n = len(tuple(run))
+        if w != 1:
+            scale.append((start, start + n, float(w)))
+        start += n
+    return np.array(left), np.array(right), scale, widths, np.argsort(rank)
 
 
-# points per pass of a Leibniz sum, so its (points x pairs) products stay small
+# points per pass of a Leibniz sum, so its (pairs x points) products stay small
 _PAIR_ROWS = 2048
 
 
-def _pair_sum(left: np.ndarray, right: np.ndarray, d: int, lo: int) -> np.ndarray:
-    """Degree-d Leibniz sum of concatenated left blocks lo.. and right blocks 1.."""
-    li, ri, w, starts = _leibniz(d, lo)
-    out = np.empty((left.shape[0], starts.size))
+def _pair_sum(left: np.ndarray, right: np.ndarray, d: int, lo: int,
+              square: bool = False) -> np.ndarray:
+    """Degree-d Leibniz sum of concatenated left blocks lo.. and right blocks 1..
+
+    Products are formed pair-major, so every operation runs along the points,
+    and each column adds only its own pairs, in table order.
+    """
+    li, ri, scale, widths, rank_of = _leibniz(d, lo, square)
+    out = np.empty((left.shape[0], rank_of.size))
     for r in range(0, left.shape[0], _PAIR_ROWS):
         rows = slice(r, r + _PAIR_ROWS)
-        p = left[rows, li]
-        p *= right[rows, ri]
-        p *= w
-        out[rows] = np.add.reduceat(p, starts, axis=1)
+        p = left[rows].T[li]
+        p *= right[rows].T[ri]
+        for a, b, w in scale:
+            p[a:b] *= w
+        start = widths[0]
+        for n in widths[1:]:
+            p[:n] += p[start:start + n]
+            start += n
+        out[rows] = p[:widths[0]].T[:, rank_of]
     return out
 
 
+def _joined(blocks: list) -> np.ndarray:
+    """Blocks side by side; one block is used as it is."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+
 def _high_product(a: list, b: list, k: int) -> list:
-    """Blocks 3..k of the product of the block lists a and b."""
-    left, right = np.concatenate(a[1:k], axis=1), np.concatenate(b[1:k], axis=1)
+    """Blocks 2..k of the product of the block lists a and b."""
+    left, right = _joined(a[1:k]), _joined(b[1:k])
     return [a[0][:, None] * b[d] + b[0][:, None] * a[d] + _pair_sum(left, right, d, 1)
-            for d in range(3, k + 1)]
+            for d in range(2, k + 1)]
 
 
-def _high_chain(c: list, fs, t2: np.ndarray, k: int) -> list:
-    """Blocks 3..k of f(u) from u's blocks c and f, f', f'', ... at u's values.
+def _high_chain(c: list, fs, k: int) -> list:
+    """Blocks 2..k of f(u) from u's blocks c and f, f', f'', ... at u's values.
 
     Block d is the sum over m of f^(m) times block d of p_m = t^m / m!, the
-    powers of the nilpotent part t = u - u(x0); p_m vanishes below degree m
-    and p_2 has block 2 `t2`.
+    powers of the nilpotent part t = u - u(x0); p_m vanishes below degree m.
+    p_2 is the half square of t, and p_m = p_(m-1) t / m above it.
     """
-    t = np.concatenate(c[1:k], axis=1)
-    powers = [None, c]
-    for m in range(2, k + 1):
-        left = t if m == 2 else np.concatenate(powers[m - 1][m - 1:k], axis=1)
-        blocks = [None, None, t2] if m == 2 else [None] * m
-        blocks += [_pair_sum(left, t, d, m - 1) / m for d in range(max(m, 3), k + 1)]
-        powers.append(blocks)
+    t = _joined(c[1:k])
+    half_square = [_pair_sum(t, t, d, 1, square=True) for d in range(2, k + 1)]
+    powers = [None, c, [None, None] + half_square]
+    for m in range(3, k + 1):
+        left = _joined(powers[m - 1][m - 1:k])
+        powers.append([None] * m + [_pair_sum(left, t, d, m - 1) / m for d in range(m, k + 1)])
     out = []
-    for d in range(3, k + 1):
+    for d in range(2, k + 1):
         acc = fs[1][:, None] * c[d]
         for m in range(2, d + 1):
             acc = acc + fs[m][:, None] * powers[m][d]
@@ -228,12 +245,8 @@ class Jet:
         k = min(len(a), len(b)) - 1
         if k == 0:
             return Jet([a[0] * b[0]])
-        grad = a[0][:, None] * b[1] + b[0][:, None] * a[1]
-        if k == 1:
-            return Jet([a[0] * b[0], grad])
-        out = [a[0] * b[0], grad,
-               a[0][:, None] * b[2] + b[0][:, None] * a[2] + sym_outer(a[1], b[1])]
-        return Jet(out + _high_product(a, b, k) if k >= 3 else out)
+        out = [a[0] * b[0], a[0][:, None] * b[1] + b[0][:, None] * a[1]]
+        return Jet(out + _high_product(a, b, k) if k >= 2 else out)
 
     __rmul__ = __mul__
 
@@ -258,11 +271,8 @@ class Jet:
         k = len(c) - 1
         if k == 0:
             return Jet([fs[0]])
-        if k == 1:
-            return Jet([fs[0], fs[1][:, None] * c[1]])
-        t2 = outer(c[1], c[1])
-        out = [fs[0], fs[1][:, None] * c[1], fs[1][:, None] * c[2] + fs[2][:, None] * t2]
-        return Jet(out + _high_chain(c, fs, t2, k) if k >= 3 else out)
+        out = [fs[0], fs[1][:, None] * c[1]]
+        return Jet(out + _high_chain(c, fs, k) if k >= 2 else out)
 
 
 # -- elementary functions ----------------------------------------------------
@@ -329,38 +339,24 @@ def jpow(j: Jet, e: float) -> Jet:
     return j.chain(fs)
 
 
+def _scaled(j: Jet, v: np.ndarray) -> Jet:
+    """j times the per-point constant v, block by block."""
+    return Jet([v * j.c[0], *(v[:, None] * b for b in j.c[1:])])
+
+
 def jatan2(jy: Jet, jx: Jet) -> Jet:
-    """Two-argument arctangent; closed chain rule up to degree 2."""
-    a, b = jx.value, jy.value  # atan2(b, a)
+    """Two-argument arctangent, through atan(s) at every derivative order.
+
+    atan2(y, x) - atan2(b, a) = atan(s) with s = (a y - b x)/(a x + b y), where
+    (a, b) are the values of (x, y); s vanishes at the point, where
+    atan^(2m+1) = (-1)^m (2m)! and the even derivatives are 0.
+    """
+    a, b = jx.value, jy.value
     value = np.arctan2(b, a)
     if len(jx.c) == 1 or len(jy.c) == 1:
         return Jet([value])
-    o = min(jx.order, jy.order)
-    r2 = a * a + b * b
-    fa = -b / r2
-    fb = a / r2
-    grad = fa[:, None] * jx.grad + fb[:, None] * jy.grad
-    if o == 1:
-        return Jet([value, grad])
-    r4 = r2 * r2
-    faa = 2 * a * b / r4
-    fbb = -2 * a * b / r4
-    fab = (b * b - a * a) / r4
-    hess = (
-        fa[:, None] * jx.hess
-        + fb[:, None] * jy.hess
-        + faa[:, None] * outer(jx.grad, jx.grad)
-        + fbb[:, None] * outer(jy.grad, jy.grad)
-        + fab[:, None] * sym_outer(jx.grad, jy.grad)
-    )
-    blocks = [value, grad, hess]
-    if o >= 3:
-        # atan2(y, x) - atan2(b, a) = atan(s), s = (a y - b x)/(a x + b y)
-        # vanishes at the point, where atan^(2m+1) = (-1)^m (2m)! and even ones 0
-        ca, cb = Jet.constant(a, order=o), Jet.constant(b, order=o)
-        s = (ca * jy - cb * jx) / (ca * jx + cb * jy)
-        fs = []
-        for k in range(o + 1):
-            fs.append(np.full(a.shape, k % 2 * (-1.0) ** (k // 2) * factorial(max(k - 1, 0))))
-        blocks += s.chain(fs).c[3:]
-    return Jet(blocks)
+    s = (_scaled(jy, a) - _scaled(jx, b)) / (_scaled(jx, a) + _scaled(jy, b))
+    fs = []
+    for k in range(s.order + 1):
+        fs.append(np.full(a.shape, k % 2 * (-1.0) ** (k // 2) * factorial(max(k - 1, 0))))
+    return Jet([value, *s.chain(fs).c[1:]])

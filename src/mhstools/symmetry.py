@@ -219,7 +219,7 @@ def _bind(expr: ScalarField, t_field: ScalarField, s_field: ScalarField | None =
 
 def _gprime(g: ScalarField, t_field: ScalarField) -> ScalarField:
     """g'(t) composed with the chart angle, exact via seeded jets."""
-    return Compose1(g, t_field, var="t", deriv=1)
+    return Compose1(g, t_field, var="t")
 
 
 def example_symmetry(

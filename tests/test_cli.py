@@ -37,6 +37,20 @@ class TestCatalog:
         assert rc == 0
         assert "exp(z)" in out  # the coefficient expression
 
+    @pytest.mark.parametrize("rest", [(), ("show", "w4_2")])
+    def test_out_writes_json(self, capsys, tmp_path, rest):
+        # --out writes the JSON document, with or without --json, and prints nothing
+        docs = []
+        for flags in ((), ("--json",)):
+            out_file = tmp_path / "catalog.json"
+            rc, out, _ = run(capsys, "catalog", *rest, *flags, "--out", str(out_file))
+            assert rc == 0 and out == ""
+            docs.append(out_file.read_text())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["command"] == "catalog"
+        rc, out, _ = run(capsys, "catalog", *rest, "--json")
+        assert out == docs[0]
+
     def test_show_unknown(self, capsys):
         rc, _, err = run(capsys, "catalog", "show", "nope")
         assert rc == 2
