@@ -1,15 +1,20 @@
 """Command-line interface.
 
 Subcommands: catalog, verify, symmetry, orbit, gs, ggse, composite, export,
-characteristics.  Machine-readable output is versioned JSON (schema "v1")
-written with sorted keys, so identical configurations produce byte-identical
-files.  Exit codes: 0 all gates pass, 1 gate failure, 2 usage or parse error.
+characteristics.  Each `cmd_*` returns its document and its text lines and
+writes nothing; `main` is the one output path.  It writes the document as
+versioned JSON (schema "v1", sorted keys, every non-finite number as null)
+under `--format json`, or to `--out` unless the text is export's CSV;
+otherwise it writes the text lines, to `--out` or to stdout.  Identical
+configurations produce byte-identical output.  Exit codes: 0 all gates pass,
+1 gate failure (the document's "passed" is false), 2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -97,27 +102,6 @@ def _parse_generator(spec: str) -> KillingParams:
         ) from None
 
 
-def _write(text: str, args) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit(doc: dict, args) -> None:
-    _write(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", args)
-
-
-def _write_csv(cols: list[str], data: np.ndarray, args, tags=None) -> None:
-    """CSV with a header line; floats as %.17g, then an optional text column."""
-    fmt = ",".join(["%.17g"] * data.shape[1])
-    rows = [fmt % tuple(row) for row in data.tolist()]
-    if tags is not None:
-        rows = [f"{row},{tag}" for row, tag in zip(rows, tags)]
-    _write("\n".join([",".join(cols), *rows]) + "\n", args)
-
-
 def _grid(domain: Domain, n: int) -> np.ndarray:
     """The n^3 points of the regular grid on the domain's bounding box, x slowest."""
     lo, hi = domain.bounding_box()
@@ -126,18 +110,18 @@ def _grid(domain: Domain, n: int) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
-def _sanitize(v):
-    if isinstance(v, float) and not np.isfinite(v):
-        return None
+def _finite(v):
+    """`v` in plain JSON values: arrays as lists, and every non-finite float,
+    however deeply nested, as None."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, np.ndarray):
+        return _finite(v.tolist())
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
     return v
-
-
-def _report_doc(rep) -> dict:
-    d = rep.to_dict()
-    for ch in d.get("checks", {}).values():
-        for k in ("max", "mean", "rms"):
-            ch[k] = _sanitize(ch[k])
-    return d
 
 
 def _config_doc(args, keys) -> dict:
@@ -152,20 +136,12 @@ def _report_lines(rep) -> list[str]:
     ]
 
 
-def _output(doc: dict, args, text: list[str]) -> None:
-    """The JSON document under --format json or --out, else the text lines."""
-    if args.format == "json" or args.out:
-        _emit(doc, args)
-    else:
-        print("\n".join(text))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> tuple[dict, list[str]]:
     if args.rest and args.rest[0] == "show":
         if len(args.rest) != 2:
             raise UsageError("usage: catalog show NAME")
@@ -173,8 +149,7 @@ def cmd_catalog(args) -> int:
         e = entry.to_dict()
         text = [f"{entry.name} ({entry.kind})"]
         text += [f"  {k}: {e[k]}" for k in sorted(e) if k != "name"]
-        _output({"schema": SCHEMA, "command": "catalog", "entry": e}, args, text)
-        return 0
+        return {"entry": e}, text
     if args.rest:
         raise UsageError("usage: catalog [show NAME]")
     entries = [registry.get(n).to_dict() for n in registry.names()]
@@ -182,11 +157,10 @@ def cmd_catalog(args) -> int:
     for e in entries:
         tag = e.get("h") or e.get("chi") or ""
         text.append(f"{e['name']:12s} {e['kind']:9s} {tag:28s} {e['domain']['shape']}")
-    _output({"schema": SCHEMA, "command": "catalog", "entries": entries}, args, text)
-    return 0
+    return {"entries": entries}, text
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, list[str]]:
     entry = registry.get(args.name)
     if args.h and entry.kind != "beltrami":
         raise UsageError("--h applies to curl-eigenfield entries")
@@ -194,115 +168,93 @@ def cmd_verify(args) -> int:
     if entry.kind == "beltrami":
         h = parse_scalar(args.h) if args.h else entry.h
         rep = beltrami_residual(entry.field, h, samples)
-        hin = verify_h_invariance(entry.record, samples)
-        rep.checks["h_invariance"] = hin.stat("h_invariance")
         gates = dict(BELTRAMI_GATES)
         if args.h:
             # a user-supplied coefficient need not be transported by the field
             gates.pop("h_invariance")
-            rep.checks.pop("h_invariance")
-        passed = rep.passes(gates)
+        else:
+            hin = verify_h_invariance(entry.record, samples)
+            rep.checks["h_invariance"] = hin.stat("h_invariance")
     else:
         rep = entry.solution.residual_report(samples)
         gates = {k: v for k, v in PRESSURE_GATES.items() if k in rep.checks}
-        passed = rep.passes(gates)
     doc = {
-        "schema": SCHEMA,
-        "command": "verify",
         "field": args.name,
         "config": _config_doc(args, ("samples", "seed", "generator", "domain", "h")),
-        "report": _report_doc(rep),
+        "report": rep.to_dict(),
         "gates": gates,
-        "passed": bool(passed),
+        "passed": bool(rep.passes(gates)),
     }
-    _output(doc, args, _report_lines(rep) + ["passed" if passed else "FAILED"])
-    return 0 if passed else 1
+    return doc, _report_lines(rep)
 
 
-def cmd_symmetry(args) -> int:
+def cmd_symmetry(args) -> tuple[dict, list[str]]:
     entry = registry.get(args.name)
     samples = _samples(args, entry.domain)
     rep = killing_scan(entry.field, samples.domain, samples=samples, threshold=args.threshold)
     doc = {
-        "schema": SCHEMA,
-        "command": "symmetry",
         "field": args.name,
         "config": _config_doc(args, ("samples", "seed", "generator", "threshold", "domain")),
-        "report": {
-            **rep.to_dict(),
-            "boundary_gap": _sanitize(rep.boundary_gap),
-        },
+        "report": rep.to_dict(),
     }
-    _output(doc, args, [
+    return doc, [
         f"null dimension: {rep.null_dim}",
         "singular values: " + " ".join(f"{v:.3e}" for v in rep.singular_values),
         *(f"  generator a={k.a} b={k.b}" for k in rep.null_basis),
-    ])
-    return 0
+    ]
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> tuple[dict, list[str]]:
     entry = registry.get(args.name)
     if entry.kind != "beltrami":
         raise UsageError("orbit generation needs a curl-eigenfield catalog entry")
     gen = _parse_generator(args.gen)
     orbit = lie_generate(entry.record, gen, args.n, samples=_samples(args, entry.domain))
-    passed = all(m.passed for m in orbit.members) and not orbit.truncated
     doc = {
-        "schema": SCHEMA,
-        "command": "orbit",
         "field": args.name,
         "config": _config_doc(args, ("gen", "n", "samples", "seed", "generator", "domain")),
         "orbit": orbit.to_dict(),
-        "passed": bool(passed),
+        "passed": all(m.passed for m in orbit.members) and not orbit.truncated,
     }
-    _output(doc, args, [
+    return doc, [
         f"member {m.index}: beltrami={m.report.max('beltrami'):.3e} "
         f"divergence={m.report.max('divergence'):.3e}"
         + (" (terminal null)" if m.terminal_null else "")
         for m in orbit.members
-    ] + ["passed" if passed else "FAILED"])
-    return 0 if passed else 1
+    ]
 
 
-def cmd_gs(args) -> int:
+def cmd_gs(args) -> tuple[dict, list[str]]:
     theta = parse_scalar(args.theta)
     w3 = parse_univariate(args.w3)
     chi = parse_univariate(args.chi)
     prob = gs_problem_from_plane(args.chart, theta, w3=w3, chi=chi)
     rep = gs_residual(prob, _samples(args, prob.chart.default_domain()))
     doc = {
-        "schema": SCHEMA,
-        "command": "gs",
         "config": _config_doc(
             args, ("chart", "theta", "w3", "chi", "samples", "seed", "domain")
         ),
         "problem": prob.to_dict(),
-        "report": _report_doc(rep),
+        "report": rep.to_dict(),
     }
-    _output(doc, args, _report_lines(rep))
-    return 0
+    return doc, _report_lines(rep)
 
 
-def cmd_ggse(args) -> int:
+def cmd_ggse(args) -> tuple[dict, list[str]]:
     data, default_domain = example_decomposition(args.name)
     rep = ggse_check(data, _samples(args, default_domain))
     gates = {"normalization": 1e-6, "ggse_lhs": 1e-6}
-    passed = rep.passes(gates)
     doc = {
-        "schema": SCHEMA,
-        "command": "ggse",
         "field": args.name,
         "config": _config_doc(args, ("samples", "seed", "domain")),
-        "report": _report_doc(rep),
+        "report": rep.to_dict(),
         "gates": gates,
-        "passed": bool(passed),
+        "passed": bool(rep.passes(gates)),
     }
-    _output(doc, args, _report_lines(rep) + ["passed" if passed else "FAILED"])
-    return 0 if passed else 1
+    return doc, _report_lines(rep)
 
 
-def cmd_composite(args) -> int:
+def cmd_composite(args) -> tuple[dict, list[str]]:
     core = clebsch.catalog(args.core)
     shell = beltrami.catalog(args.shell)
     pf = assemble(core, shell, eps=args.eps)
@@ -312,26 +264,23 @@ def cmd_composite(args) -> int:
         mc_samples=args.mc_samples,
         seed=args.seed,
     )
-    passed = rep.passes()
     doc = {
-        "schema": SCHEMA,
-        "command": "composite",
         "config": _config_doc(args, ("core", "shell", "eps", "samples", "mc_samples", "seed")),
         "report": rep.to_dict(),
-        "passed": bool(passed),
+        "passed": bool(rep.passes()),
     }
-    _output(doc, args, [
+    return doc, [
         f"L2 estimate: {rep.l2_estimate:.6f} +- {rep.l2_standard_error:.6f}",
         f"interface jump max/mean: {rep.interface_jump_max:.4f}/{rep.interface_jump_mean:.4f}",
         f"interface |w.n| core/shell: {rep.interface_flux_core_max:.4f}/{rep.interface_flux_shell_max:.4f}",
         f"outer boundary |w.n| max: {rep.boundary_flux_max:.4f}",
         f"core null dimension: {rep.core_killing.null_dim}",
-        "passed" if passed else "FAILED",
-    ])
-    return 0 if passed else 1
+    ]
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple[dict, list[str]]:
+    """The grid as a JSON document, and as CSV lines: a header, then floats as
+    %.17g, then the region tag of an assembly grid."""
     cols = ["x", "y", "z", "wx", "wy", "wz"]
     tags = None
     if args.name == "composite":
@@ -341,7 +290,7 @@ def cmd_export(args) -> int:
         pts = _grid(_parse_domain(args.domain) if args.domain else pf.ambient, args.grid)
         data = np.hstack([pts, pf.values(pts)])
         cols.append("region")
-        tags = pf.region_tags(pts).tolist()
+        tags = pf.region_tags(pts)
     else:
         entry = registry.get(args.name)
         pts = _grid(_parse_domain(args.domain) if args.domain else entry.domain, args.grid)
@@ -349,21 +298,19 @@ def cmd_export(args) -> int:
         if entry.chi is not None:
             cols.append("chi")
             data = np.column_stack([data, entry.chi.values(pts)])
-    if args.format == "json":
-        rows = [[_sanitize(v) for v in row] for row in data.tolist()]
-        if tags is not None:
-            rows = [row + [tag] for row, tag in zip(rows, tags)]
-        _emit({"schema": SCHEMA, "command": "export", "field": args.name, "columns": cols,
-               "rows": rows}, args)
-    else:
-        _write_csv(cols, data, args, tags=tags)
-    return 0
+    fmt = ",".join(["%.17g"] * data.shape[1])
+    lines = [fmt % tuple(row) for row in data.tolist()]
+    rows = data
+    if tags is not None:
+        lines = [f"{line},{tag}" for line, tag in zip(lines, tags)]
+        rows = np.rec.fromarrays([*data.T, tags])
+    return {"field": args.name, "columns": cols, "rows": rows}, [",".join(cols), *lines]
 
 
 _CHAR_TOL = 1e-6
 
 
-def cmd_characteristics(args) -> int:
+def cmd_characteristics(args) -> tuple[dict, list[str]]:
     """Reproduce a catalog potential (or chart coefficient) by transport."""
     name = args.name
     if name in ("w4_1", "w4_2"):
@@ -385,7 +332,7 @@ def cmd_characteristics(args) -> int:
         ok = np.array([r.ok for r in results])
         sup = float(np.abs(vals[ok] - ref[ok]).max()) if ok.any() else float("inf")
         passed = bool(ok.all() and sup < _CHAR_TOL)
-        result = {"quantity": "psi", "sup_error": _sanitize(sup), "n_failed": int((~ok).sum())}
+        result = {"quantity": "psi", "sup_error": sup, "n_failed": int((~ok).sum())}
         text = [f"sup error vs closed form: {sup:.3e} ({int(ok.sum())}/{len(ok)} points)"]
     elif name in ("abc_minimal", "cylindrical"):
         try:
@@ -403,15 +350,12 @@ def cmd_characteristics(args) -> int:
             "characteristics supports w4_1, w4_2 (psi) and abc_minimal, cylindrical (alpha)"
         )
     doc = {
-        "schema": SCHEMA,
-        "command": "characteristics",
         "field": name,
         "config": _config_doc(args, ("samples", "seed")),
         **result,
         "passed": passed,
     }
-    _output(doc, args, text + ["passed" if passed else "FAILED"])
-    return 0 if passed else 1
+    return doc, text
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +464,26 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        doc, text = args.fn(args)
     except (UsageError, KeyError, ValueError) as e:
         msg = e.args[0] if e.args else str(e)
         print(f"error: {msg}", file=sys.stderr)
         return 2
+    doc = {"schema": SCHEMA, "command": args.command, **doc}
+    code = 0
+    if "passed" in doc:
+        text = [*text, "passed" if doc["passed"] else "FAILED"]
+        code = 0 if doc["passed"] else 1
+    if args.format == "json" or (args.out and args.command != "export"):
+        out = json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    else:
+        out = "\n".join(text) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
+    return code
 
 
 if __name__ == "__main__":

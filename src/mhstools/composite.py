@@ -169,6 +169,8 @@ def l2_monte_carlo(pf: PiecewiseField, n: int = 100_000, seed: int = 0):
 
     Uniform sampling of the ambient ball; returns (estimate, standard error).
     """
+    if n <= 0:
+        raise ValueError("need a positive sample count")
     rng = np.random.default_rng(seed)
     R = pf.ambient.r_outer
     got = 0

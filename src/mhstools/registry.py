@@ -35,7 +35,6 @@ class FieldEntry:
             d["h"] = self.h.render()
         if self.solution is not None:
             d.update(self.solution.to_dict())
-            d.pop("name", None)
             d["name"] = self.name
         return d
 

@@ -37,19 +37,35 @@ class TestCatalog:
         assert rc == 0
         assert "exp(z)" in out  # the coefficient expression
 
-    @pytest.mark.parametrize("rest", [(), ("show", "w4_2")])
+    @pytest.mark.parametrize("rest", [
+        ("catalog",),
+        ("catalog", "show", "w4_2"),
+        ("verify", "w4_1", "--samples", "200"),
+        ("verify", "exp_x3", "--domain", "box:-1,1,-1,1,-1,1", "--h", "z^2"),
+        ("symmetry", "exp_x3", "--samples", "200"),
+        ("orbit", "zsq_x3", "--gen", "rot-z", "--samples", "200"),
+        ("gs", "--chart", "translational", "--theta", "(x^2+y^2)/2", "--samples", "200"),
+        ("ggse", "--samples", "200"),
+        ("composite", "--samples", "200", "--mc-samples", "2000"),
+        ("characteristics", "w4_2", "--samples", "20"),
+        ("export", "w4_1", "--grid", "3"),
+        ("export", "composite", "--grid", "3"),
+    ])
     def test_out_writes_json(self, capsys, tmp_path, rest):
-        # --out writes the JSON document, with or without --json, and prints nothing
-        docs = []
-        for flags in ((), ("--json",)):
-            out_file = tmp_path / "catalog.json"
-            rc, out, _ = run(capsys, "catalog", *rest, *flags, "--out", str(out_file))
-            assert rc == 0 and out == ""
-            docs.append(out_file.read_text())
-        assert docs[0] == docs[1]
-        assert json.loads(docs[0])["command"] == "catalog"
-        rc, out, _ = run(capsys, "catalog", *rest, "--json")
-        assert out == docs[0]
+        # one rule for every subcommand: --out writes the document --format json
+        # prints, with or without --format json, and prints nothing; export's
+        # --out writes the CSV it prints unless --format json asks for the document
+        json_flags = ("--json",) if rest[0] == "catalog" else ("--format", "json")
+        rc, doc, _ = run(capsys, *rest, *json_flags)
+        assert json.loads(doc)["command"] == rest[0]
+        wanted = {(): doc, json_flags: doc}
+        if rest[0] == "export":
+            _, csv, _ = run(capsys, *rest, "--format", "csv")
+            wanted = {(): csv, ("--format", "csv"): csv, json_flags: doc}
+        for flags, want in wanted.items():
+            out_file = tmp_path / "out"
+            assert run(capsys, *rest, *flags, "--out", str(out_file)) == (rc, "", "")
+            assert out_file.read_text() == want
 
     def test_show_unknown(self, capsys):
         rc, _, err = run(capsys, "catalog", "show", "nope")
@@ -137,6 +153,16 @@ class TestOrbit:
         assert doc["passed"] is True
         assert len(doc["orbit"]["members"]) == 3
 
+    def test_non_finite_numbers_are_null(self, capsys):
+        # exp(x) overflows at x > 709.8: the residuals are NaN, written as null
+        argv = ("orbit", "exp_x3", "--gen", "trans-x", "--n", "1",
+                "--domain", "box:710,711,-1,1,-1,1")
+        rc, out, err = run(capsys, *argv, "--format", "json")
+        assert (rc, err) == (1, "")
+        assert '"beltrami_max": null' in out
+        assert json.loads(out)["passed"] is False
+        assert run(capsys, *argv)[0] == 1
+
     def test_bad_generator(self, capsys):
         rc, _, err = run(capsys, "orbit", "zsq_x3", "--gen", "spin-w", "--n", "1")
         assert rc == 2
@@ -223,6 +249,12 @@ class TestComposite:
         assert rc == 0
         assert doc["passed"] is True
         assert doc["report"]["core_killing"]["null_dim"] == 0
+
+    @pytest.mark.parametrize("mc", ["0", "-5"])
+    def test_needs_a_positive_mc_sample_count(self, capsys, mc):
+        rc, out, err = run(capsys, "composite", "--samples", "50", "--mc-samples", mc)
+        assert (rc, out) == (2, "")
+        assert err == "error: need a positive sample count\n"
 
 
 class TestExport:
