@@ -30,6 +30,7 @@ from .lieops import lie_generate
 from .parsing import parse_scalar, parse_univariate
 from .composite import assemble, verify_composite
 from .symmetry import (
+    CANONICAL_GENERATORS,
     S,
     T,
     KillingParams,
@@ -81,16 +82,10 @@ def _samples(args, default: Domain):
 
 
 def _parse_generator(spec: str) -> KillingParams:
-    named = {
-        "trans-x": ((1, 0, 0), (0, 0, 0)),
-        "trans-y": ((0, 1, 0), (0, 0, 0)),
-        "trans-z": ((0, 0, 1), (0, 0, 0)),
-        "rot-x": ((0, 0, 0), (1, 0, 0)),
-        "rot-y": ((0, 0, 0), (0, 1, 0)),
-        "rot-z": ((0, 0, 0), (0, 0, 1)),
-    }
+    names = [f"{kind}-{axis}" for kind in ("trans", "rot") for axis in "xyz"]
+    named = dict(zip(names, CANONICAL_GENERATORS))
     if spec in named:
-        return KillingParams(*named[spec])
+        return named[spec]
     try:
         apart, _, bpart = spec.partition(";")
         a = tuple(float(v) for v in apart.split(","))
@@ -280,7 +275,8 @@ def cmd_composite(args) -> tuple[dict, list[str]]:
 
 def cmd_export(args) -> tuple[dict, list[str]]:
     """The grid as a JSON document, and as CSV lines: a header, then floats as
-    %.17g, then the region tag of an assembly grid."""
+    %.17g, then the region tag of an assembly grid.  Under --format json, where
+    only the document is written, the CSV lines are not formatted."""
     cols = ["x", "y", "z", "wx", "wy", "wz"]
     tags = None
     if args.name == "composite":
@@ -298,13 +294,15 @@ def cmd_export(args) -> tuple[dict, list[str]]:
         if entry.chi is not None:
             cols.append("chi")
             data = np.column_stack([data, entry.chi.values(pts)])
+    rows = data if tags is None else np.rec.fromarrays([*data.T, tags])
+    doc = {"field": args.name, "columns": cols, "rows": rows}
+    if args.format == "json":
+        return doc, []
     fmt = ",".join(["%.17g"] * data.shape[1])
     lines = [fmt % tuple(row) for row in data.tolist()]
-    rows = data
     if tags is not None:
         lines = [f"{line},{tag}" for line, tag in zip(lines, tags)]
-        rows = np.rec.fromarrays([*data.T, tags])
-    return {"field": args.name, "columns": cols, "rows": rows}, [",".join(cols), *lines]
+    return doc, [",".join(cols), *lines]
 
 
 _CHAR_TOL = 1e-6

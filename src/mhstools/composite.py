@@ -198,7 +198,12 @@ def verify_composite(
     mc_samples: int = 100_000,
     seed: int = 0,
 ) -> CompositeReport:
-    """Region residuals, square-integrability estimate, interface diagnostics."""
+    """Region residuals, square-integrability estimate, interface diagnostics.
+
+    The estimate runs first, so a non-positive `mc_samples` is rejected before
+    any region work; its generator is its own, so the order changes no number.
+    """
+    l2, se = l2_monte_carlo(pf, n=mc_samples, seed=seed)
     core_samples = sample(pf.core.domain, samples_per_region, seed=seed)
     shell_samples = sample(pf.shell.domain, samples_per_region, seed=seed)
 
@@ -213,8 +218,6 @@ def verify_composite(
     shell_rep = beltrami_residual(
         pf.shell.beltrami.field, pf.shell.beltrami.h, shell_samples
     )
-
-    l2, se = l2_monte_carlo(pf, n=mc_samples, seed=seed)
 
     sphere = fibonacci_sphere(N_INTERFACE, radius=pf.interface_radius)
     normals = sphere / np.linalg.norm(sphere, axis=1, keepdims=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, groupby, repeat
+from itertools import combinations, combinations_with_replacement, repeat
 from math import comb, factorial, prod
 
 import numpy as np
@@ -56,7 +56,7 @@ def _leibniz(d: int, lo: int, square: bool = False):
     The pairs are laid out in slots: with the columns ranked by pair count,
     most first, slot s holds the s-th pair of the first `widths[s]` ranked
     columns, and `rank_of` takes the ranked columns back to block order.
-    `scale` lists the runs of rows (start, stop, weight) whose weight is not 1.
+    `weight` is the column (pairs, 1) of binomial weights, one float per pair.
     """
     columns = []
     for alpha in monomials(d):
@@ -75,13 +75,8 @@ def _leibniz(d: int, lo: int, square: bool = False):
     rank = sorted(range(len(columns)), key=lambda a: -len(columns[a]))
     widths = [sum(len(columns[a]) > s for a in rank) for s in range(len(columns[rank[0]]))]
     left, right, weight = zip(*(columns[a][s] for s, n in enumerate(widths) for a in rank[:n]))
-    scale, start = [], 0
-    for w, run in groupby(weight):
-        n = len(tuple(run))
-        if w != 1:
-            scale.append((start, start + n, float(w)))
-        start += n
-    return np.array(left), np.array(right), scale, widths, np.argsort(rank)
+    weight = np.array(weight, float)[:, None]
+    return np.array(left), np.array(right), weight, widths, np.argsort(rank)
 
 
 # points per pass of a Leibniz sum, so its (pairs x points) products stay small
@@ -95,14 +90,13 @@ def _pair_sum(left: np.ndarray, right: np.ndarray, d: int, lo: int,
     Products are formed pair-major, so every operation runs along the points,
     and each column adds only its own pairs, in table order.
     """
-    li, ri, scale, widths, rank_of = _leibniz(d, lo, square)
+    li, ri, weight, widths, rank_of = _leibniz(d, lo, square)
     out = np.empty((left.shape[0], rank_of.size))
     for r in range(0, left.shape[0], _PAIR_ROWS):
         rows = slice(r, r + _PAIR_ROWS)
         p = left[rows].T[li]
         p *= right[rows].T[ri]
-        for a, b, w in scale:
-            p[a:b] *= w
+        p *= weight
         start = widths[0]
         for n in widths[1:]:
             p[:n] += p[start:start + n]

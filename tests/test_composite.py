@@ -109,6 +109,17 @@ class TestVerify:
         assert rep.core_report.max("beltrami") < 1e-8
         assert rep.passes()
 
+    @pytest.mark.parametrize("mc", [0, -5])
+    def test_sample_count_rejected_before_region_work(self, default_assembly, monkeypatch, mc):
+        import mhstools.composite as composite
+
+        reports = []
+        for name in ("force_balance_residual", "beltrami_residual"):
+            monkeypatch.setattr(composite, name, lambda *a, **k: reports.append(a))
+        with pytest.raises(ValueError, match="positive sample count"):
+            verify_composite(default_assembly, samples_per_region=50, mc_samples=mc)
+        assert reports == []
+
     def test_l2_doubling_stability(self, default_assembly):
         l2a, sea = l2_monte_carlo(default_assembly, n=40_000, seed=0)
         l2b, seb = l2_monte_carlo(default_assembly, n=80_000, seed=0)

@@ -2,6 +2,8 @@
 evaluation of random expression trees, and their derivatives of degrees 1-4
 against sympy."""
 
+import itertools
+import math
 import operator
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhstools import fields as F
-from mhstools.jets import Jet, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt, monomials
+from mhstools.jets import (
+    Jet, _pair_sum, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt, monomials,
+)
 
 
 def _seed(pts):
@@ -229,6 +233,49 @@ def test_jets_do_not_depend_on_row_position(order):
         for jw, jp in zip(whole, part):
             for d in range(order + 1):
                 assert _bits_equal(jw.c[d][rows], jp.c[d])
+
+
+def _leibniz_oracle(left: dict, right: dict, d: int, lo: int) -> np.ndarray:
+    # column alpha of block d: the sum over multi-indices beta <= alpha with
+    # lo <= |beta| < d of C(alpha, beta) left[beta] right[alpha - beta]
+    def exps(m):
+        return tuple(m.count(a) for a in range(3))
+
+    cols = {k: {exps(m): c for c, m in enumerate(monomials(k))} for k in range(1, d)}
+    out = []
+    for alpha in map(exps, monomials(d)):
+        acc = np.zeros(left[lo].shape[0])
+        for beta in itertools.product(*(range(n + 1) for n in alpha)):
+            i = sum(beta)
+            if lo <= i < d:
+                gamma = tuple(n - b for n, b in zip(alpha, beta))
+                w = math.prod(math.comb(n, b) for n, b in zip(alpha, beta))
+                acc = acc + w * left[i][:, cols[i][beta]] * right[d - i][:, cols[d - i][gamma]]
+        out.append(acc)
+    return np.stack(out, axis=1)
+
+
+_TABLES = [(d, lo, False) for d in range(2, 8) for lo in range(1, d)]
+_TABLES += [(d, 1, True) for d in range(2, 8)]
+
+
+@pytest.mark.parametrize("d, lo, square", _TABLES)
+def test_pair_sum_matches_direct_leibniz_sum(d, lo, square):
+    # every table the jets use, against the multi-index sum; small integers
+    # make both sides exact, and 2100 rows take two passes of 2048
+    rng = np.random.default_rng(10 * d + lo + 100 * square)
+
+    def blocks(n, first):
+        return {i: rng.integers(-3, 4, (n, len(monomials(i)))).astype(float)
+                for i in range(first, d)}
+
+    for n in (1, 8, 2100):
+        left = blocks(n, lo)
+        right = left if square else blocks(n, 1)
+        got = _pair_sum(np.hstack([left[i] for i in range(lo, d)]),
+                        np.hstack([right[i] for i in range(1, d - lo + 1)]), d, lo, square)
+        want = _leibniz_oracle(left, right, d, lo)
+        np.testing.assert_array_equal(got, want / 2 if square else want)
 
 
 # -- derivatives of degrees 1-4 against sympy (tests only) --------------------
