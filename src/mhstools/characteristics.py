@@ -6,9 +6,10 @@ surface, then carrying the initial datum forward with the constant source.
 Integration is the eighth-order Dormand-Prince pair DOP853 with a step
 controller per lane, batched over all targets (Prince & Dormand, J. Comput.
 Appl. Math. 7 (1981) 67-75; Hairer, Norsett & Wanner, Solving ODEs I, II.4-5
-and II.10).  The crossing inside the bracketing step is located by a
-safeguarded Newton iteration on the step fraction, run only on the lanes that
-crossed, inside a bracket on which the surface changes sign.  The embedded
+and II.10).  A lane whose step brackets the initial surface waits at that
+step; once no lane is stepping, the crossings of all waiting lanes are
+located in one batch by a safeguarded Newton iteration on the step fraction,
+inside a bracket on which the surface changes sign.  The embedded
 local error estimates, summed along each lane with a roundoff term per step,
 plus the distance from the hit point that this bracket allows, give the
 error estimate per point.
@@ -133,10 +134,10 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, max_time: float):
     """Flow every point along its characteristic to the initial surface.
 
     Each target is integrated both backwards and forwards (the surface may
-    lie on either side); the first crossing wins.  Returns hit points, the
-    signed flow time from the hit point to the target, the accumulated
-    position error bound, an ok mask and a per-point outcome code (`_OK`
-    where ok).
+    lie on either side); the first crossing inside the domain wins.
+    Returns hit points, the signed flow time from the hit point to the
+    target, the accumulated position error bound, an ok mask and a
+    per-point outcome code (`_OK` where ok).
     """
     a = prob.advecting
     surf = prob.initial.surface
@@ -154,6 +155,12 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, max_time: float):
     hit_t = np.full(2 * n, np.inf)
     done = np.zeros(2 * n, dtype=bool)
     reason = np.full(2 * n, _OK, dtype=np.int8)
+    steps = np.zeros(2 * n, dtype=int)
+    # a lane whose step crossed keeps its step start in p, s, k, t and its
+    # step end here until the one crossing search after stepping
+    pending = np.zeros(2 * n, dtype=bool)
+    end_p, end_k = np.empty_like(p), np.empty_like(p)
+    end_s, end_h = np.empty(2 * n), np.empty(2 * n)
 
     with np.errstate(all="ignore"):
         s = surf.values(p)
@@ -171,13 +178,31 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, max_time: float):
             reason[~done & (reason == _OK) & ~dom.contains(p)] = _LEFT_DOMAIN
         k = a.values(p)  # a at each lane's point: the first stage of its next step
 
-        for _ in range(_MAX_STEPS):
-            # a lane may stop once its twin has already hit
+        while True:
+            # a lane may stop once its twin has already hit; a lane waits while
+            # its twin's crossing is pending, so each counts its own steps
             twin_done = done[:n] | done[n:]
             live = np.flatnonzero(~done & (reason == _OK) & (t < max_time)
+                                  & (steps < _MAX_STEPS)
                                   & ~np.concatenate([twin_done, twin_done]))
             if live.size == 0:
-                break
+                ci = np.flatnonzero(pending)
+                if ci.size == 0:
+                    break
+                # every pending crossing in one search; a hit outside the
+                # domain frees the twin, which resumes from its kept state
+                frac, hp, miss = _crossing(a, surf, gsurf, p[ci], k[ci], s[ci], end_p[ci],
+                                           end_k[ci], end_s[ci], sign[ci] * end_h[ci])
+                hit_p[ci] = hp
+                hit_t[ci] = t[ci] + end_h[ci] * frac
+                err[ci] += miss
+                pending[ci] = False
+                if dom is not None:
+                    out = ci[~dom.contains(hp)]
+                    reason[out] = _LEFT_DOMAIN
+                    done[out] = False
+                continue
+            steps[live] += 1
             p0, s0 = p[live], s[live]
             hl = np.minimum(h[live], max_time - t[live])
             p1, k1, e = _dp_step(a, p0, k[live], sign[live] * hl)
@@ -193,26 +218,21 @@ def _trace(prob: CharacteristicsProblem, pts: np.ndarray, max_time: float):
             h[live] = hl * np.where(accept, factor, np.minimum(factor, 1.0))
 
             ai = live[accept]
-            p0, p1, k1, s0, s1, hl = (v[accept] for v in (p0, p1, k1, s0, s1, hl))
+            p1, k1, s0, s1, hl = (v[accept] for v in (p1, k1, s0, s1, hl))
             t1 = np.where(hl < max_time - t[ai], t[ai] + hl, max_time)
             # the embedded estimate plus the roundoff of forming the end point
             err[ai] += (np.linalg.norm(e[accept], axis=1)
                         + 2 * _EPS * np.linalg.norm(p1, axis=1))
             crossed = s0 * s1 <= 0.0
-            if crossed.any():
-                ci = ai[crossed]
-                frac, hp, miss = _crossing(a, surf, gsurf, p0[crossed], k[ci], s0[crossed],
-                                           p1[crossed], k1[crossed], s1[crossed],
-                                           sign[ci] * hl[crossed])
-                hit_p[ci] = hp
-                hit_t[ci] = t[ci] + hl[crossed] * frac
-                err[ci] += miss
-                done[ci] = True
+            ci = ai[crossed]
+            end_p[ci], end_k[ci] = p1[crossed], k1[crossed]
+            end_s[ci], end_h[ci] = s1[crossed], hl[crossed]
+            pending[ci] = True
+            done[ci] = True
             escaped = np.zeros(ai.size, dtype=bool)
             if dom is not None:
-                escaped = ~dom.contains(np.where(crossed[:, None], hit_p[ai], p1))
+                escaped = ~crossed & ~dom.contains(p1)
                 reason[ai[escaped]] = _LEFT_DOMAIN
-                done[ai[escaped]] = False
             moved = ~crossed & ~escaped
             mi = ai[moved]
             p[mi], s[mi], k[mi], t[mi] = p1[moved], s1[moved], k1[moved], t1[moved]
@@ -234,6 +254,10 @@ def _crossing(a, surf, gsurf, p0: np.ndarray, k0: np.ndarray, s0: np.ndarray,
               p1: np.ndarray, k1: np.ndarray, s1: np.ndarray, h: np.ndarray):
     """Per-row step fraction in (0, 1] at which the surface is crossed, the
     point there and a bound on that point's distance from the crossing.
+
+    `_trace` calls it once per solve, after stepping, on every lane whose
+    step crossed; it calls it again only when a hit outside the domain lets
+    the lane's twin go on.
 
     Safeguarded Newton iteration on s(frac) = surface(dp_step(p0, h frac)),
     with d s/d frac = h a(p) . grad s(p), kept inside the bisection bracket

@@ -25,6 +25,16 @@ PROB_TEMPLATE = dict(
 TARGET_BOX = Domain.box((-0.1, 0.5, 0.5), (0.1, 1.5, 1.5))
 
 
+def root_problem(m):
+    # psi = 0.5 - z, with an m-fold root of the initial surface on z = 0.5
+    return CharacteristicsProblem(
+        advecting=vector(0.0, 0.0, 1.0),
+        source=-1.0,
+        initial=InitialCurve(surface=(z - 0.5) ** m, data=0.0 * y),
+        domain=Domain.box((-2, -2, -2), (2, 2, 3)),
+    )
+
+
 def assert_honest(results, expect):
     # every estimate bounds the error achieved against the closed form
     vals = np.array([r.value for r in results])
@@ -170,10 +180,7 @@ def test_crossing_beyond_the_domain_is_not_a_hit():
     assert "domain" in r.message
 
 
-def test_transport_costs_few_field_evaluations(monkeypatch):
-    # a deterministic cost guard: 327 calls trace these 50 targets, where
-    # Dormand-Prince 5(4) steps took 1,719 and a fixed step of 1e-3 with a
-    # rerun at half step 18,624
+def count_vector_values(monkeypatch):
     calls = [0]
     values = VectorField.values
 
@@ -182,12 +189,32 @@ def test_transport_costs_few_field_evaluations(monkeypatch):
         return values(self, pts)
 
     monkeypatch.setattr(VectorField, "values", counted)
+    return calls
+
+
+def test_transport_costs_few_field_evaluations(monkeypatch):
+    # a deterministic cost guard: 197 calls trace these 50 targets with one
+    # crossing search after stepping, where a search after each step that
+    # crossed took 327, Dormand-Prince 5(4) steps 1,719 and a fixed step of
+    # 1e-3 with a rerun at half step 18,624
+    calls = count_vector_values(monkeypatch)
     prob = CharacteristicsProblem(
         initial=InitialCurve(surface=z, data=2 * log(y)), **PROB_TEMPLATE
     )
     results = solve_characteristics(prob, sample(TARGET_BOX, 50))
     assert all(r.ok for r in results)
-    assert calls[0] < 500
+    assert calls[0] < 250
+
+
+def test_five_fold_root_costs_one_crossing_search(monkeypatch):
+    # the bracket takes about 80 rounds to close at a five-fold root, so one
+    # search over every lane costs 1,155 calls where a search after each
+    # step that crossed took 5,307
+    calls = count_vector_values(monkeypatch)
+    targets = sample(Domain.box((-1, -1, -0.5), (1, 1, 1.5)), 200, generator="random", seed=3)
+    results = solve_characteristics(root_problem(5), targets)
+    assert all(r.ok for r in results)
+    assert calls[0] < 1500
 
 
 def test_degenerate_crossing_is_exact():
@@ -198,13 +225,7 @@ def test_degenerate_crossing_is_exact():
     targets = sample(Domain.box((-1, -1, -0.5), (1, 1, 1.5)), 200, generator="random", seed=3)
     expect = 0.5 - targets.points[:, 2]
     for m in (3, 5):
-        prob = CharacteristicsProblem(
-            advecting=vector(0.0, 0.0, 1.0),
-            source=-1.0,
-            initial=InitialCurve(surface=(z - 0.5) ** m, data=0.0 * y),
-            domain=Domain.box((-2, -2, -2), (2, 2, 3)),
-        )
-        results = solve_characteristics(prob, targets)
+        results = solve_characteristics(root_problem(m), targets)
         assert all(r.ok for r in results)
         vals = np.array([r.value for r in results])
         assert np.abs(vals - expect).max() < 1e-12
@@ -216,18 +237,42 @@ def test_multiple_root_start_is_not_on_the_surface():
     # absolute tolerance, but far from the surface relative to |grad s|.
     # Bisection keeps the bracket halving at the five-fold root, so the
     # crossing is resolved to about 1e-15 in flow time.
-    prob = CharacteristicsProblem(
-        advecting=vector(0.0, 0.0, 1.0),
-        source=-1.0,
-        initial=InitialCurve(surface=(z - 0.5) ** 5, data=0.0 * y),
-        domain=Domain.box((-2, -2, -2), (2, 2, 3)),
-    )
     targets = np.array([[0.1, -0.2, 0.5 + 2.2e-3], [0.1, -0.2, 0.5]])
-    results = solve_characteristics(prob, targets)
+    results = solve_characteristics(root_problem(5), targets)
     assert all(r.ok for r in results)
     vals = np.array([r.value for r in results])
     assert abs(vals[0] - (0.5 - targets[0, 2])) < 1e-12
     assert vals[1] == 0.0  # exactly on the surface: s = |grad s| = 0
+
+
+def test_nearer_crossing_outside_the_domain_resumes_the_twin():
+    # s = (z + 0.2)(z - 0.9): flowing backwards each target's second step
+    # brackets z = -0.2 from inside the box, but the hit lies below it; that
+    # hit is rejected and the forward twin, stopped while it was pending,
+    # goes on to z = 0.9 inside the box.  (With the floor at z = -0.1 the
+    # backward step end leaves the box before it brackets the root.)
+    prob = CharacteristicsProblem(
+        advecting=vector(0.0, 0.0, 1.0),
+        source=-1.0,
+        initial=InitialCurve(surface=(z + 0.2) * (z - 0.9), data=0.0 * y),
+        domain=Domain.box((-1, -1, -0.19), (1, 1, 2)),
+    )
+    results = solve_characteristics(prob, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.05]]))
+    assert all(r.ok for r in results)
+    np.testing.assert_allclose([r.value for r in results], [0.9, 0.85], atol=1e-12)
+
+
+def test_lanes_are_independent_of_their_batch():
+    # each target traced alone gives the same bits as in a batch, which lets
+    # every crossing of a solve be searched in one batch
+    targets = sample(Domain.box((-1, -1, -0.5), (1, 1, 1.5)), 12, generator="random", seed=3)
+    for m in (1, 5):
+        prob = root_problem(m)
+        batch = solve_characteristics(prob, targets)
+        alone = [solve_characteristics(prob, pt)[0] for pt in targets.points]
+        assert [(r.value.hex(), r.error_estimate.hex()) for r in batch] == [
+            (r.value.hex(), r.error_estimate.hex()) for r in alone
+        ]
 
 
 def test_mixed_outcomes_in_one_batch():
