@@ -22,7 +22,6 @@ from .beltrami import (
     verify_h_invariance,
 )
 from .characteristics import (
-    CharacteristicResult,
     CharacteristicsProblem,
     InitialCurve,
     solve_characteristics,

@@ -36,7 +36,6 @@ from .reports import ResidualReport
 # Construction-time gates.
 BELTRAMI_TOL = 1e-8
 DIVERGENCE_TOL = 1e-8
-ADMISSIBLE_TOL = 1e-7
 HARMONIC_TOL = 1e-9
 
 
@@ -221,9 +220,6 @@ def verify_h_invariance(rec: BeltramiRecord, samples: SampleSet) -> ResidualRepo
 # catalog
 # ---------------------------------------------------------------------------
 
-CATALOG_NAMES = ("abc_minimal", "cylindrical", "exp_x3", "zsq_x3", "example3")
-
-
 def _abc_minimal() -> BeltramiRecord:
     w = vector(sin(z), cos(z), 0.0)
     return BeltramiRecord(
@@ -291,6 +287,7 @@ _BUILDERS = {
     "zsq_x3": _zsq_x3,
     "example3": _example3,
 }
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
 def catalog(name: str) -> BeltramiRecord:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain, SampleSet
-from .fields import Gradient, ScalarField, VectorField
+from .fields import Gradient, ScalarField, VectorField, as_points
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ class CharacteristicsProblem:
     source: float
     initial: InitialCurve
     domain: Domain | None = None
-
-
-@dataclass(frozen=True)
-class CharacteristicResult:
-    value: float
-    error_estimate: float
-    ok: bool
-    message: str = ""
 
 
 _SURFACE_TOL = 1e-13
@@ -363,8 +355,13 @@ def solve_characteristics(
     prob: CharacteristicsProblem,
     targets: SampleSet | np.ndarray,
     max_time: float = 50.0,
-) -> list[CharacteristicResult]:
+) -> np.recarray:
     """psi at each target point, with an error estimate.
+
+    Returns one record per target, with fields `value`, `error_estimate`,
+    `ok` and `message`; read whole columns (`out.value`) or rows
+    (`out[i].ok`).  A failed target has value and estimate nan and its
+    failure message; an ok one has an empty message.
 
     Each target is traced with adaptive DOP853 steps until its
     characteristic crosses the initial surface within `max_time`.  The error
@@ -377,9 +374,7 @@ def solve_characteristics(
     on the crossing, whose hit time Newton's last update understates about
     m-fold.  Points already on the surface get psi = data and estimate 0.
     """
-    pts = targets.points if isinstance(targets, SampleSet) else np.asarray(targets, float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    pts = as_points(targets.points if isinstance(targets, SampleSet) else targets)
 
     hit, t, perr, ok, code = _trace(prob, pts, max_time)
     c = prob.source
@@ -396,10 +391,7 @@ def solve_characteristics(
         err = np.where(perr > 0.0, perr * np.linalg.norm(gpsi, axis=1), 0.0)
     ok &= np.isfinite(value)
     code = np.where(ok, _OK, np.where(code != _OK, code, _DATA_FAILED))
-
-    return [
-        CharacteristicResult(float(value[i]), float(err[i]), True)
-        if ok[i]
-        else CharacteristicResult(float("nan"), float("nan"), False, _MESSAGES[code[i]])
-        for i in range(pts.shape[0])
-    ]
+    return np.rec.fromarrays(
+        [np.where(ok, value, np.nan), np.where(ok, err, np.nan), ok, np.array(_MESSAGES)[code]],
+        names=("value", "error_estimate", "ok", "message"),
+    )

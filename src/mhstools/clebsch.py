@@ -147,8 +147,6 @@ def make_clebsch_family(alpha: float, beta: float, gamma: float, delta: float,
 # catalog
 # ---------------------------------------------------------------------------
 
-CATALOG_NAMES = ("w4_1", "w4_2", "w4_3", "w4_4")
-
 _OFFSET_BOX = Domain.box((-1.0, 0.5, 0.5), (1.0, 1.5, 1.5))
 
 # default parameters of the four-parameter family entry
@@ -173,6 +171,7 @@ def _w4_4() -> ClebschSolution:
 
 
 _BUILDERS = {"w4_1": _w4_1, "w4_2": _w4_2, "w4_3": _w4_3, "w4_4": _w4_4}
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
 def catalog(name: str) -> ClebschSolution:

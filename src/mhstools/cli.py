@@ -326,8 +326,7 @@ def cmd_characteristics(args) -> tuple[dict, list[str]]:
                          seed=args.seed)
         results = solve_characteristics(prob, targets)
         ref = closed.values(targets.points)
-        vals = np.array([r.value for r in results])
-        ok = np.array([r.ok for r in results])
+        vals, ok = results.value, results.ok
         sup = float(np.abs(vals[ok] - ref[ok]).max()) if ok.any() else float("inf")
         passed = bool(ok.all() and sup < _CHAR_TOL)
         result = {"quantity": "psi", "sup_error": sup, "n_failed": int((~ok).sum())}

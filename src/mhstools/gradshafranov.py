@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import clebsch
 from . import fields as F
 from .checks import residual_report, scalar_abs_stats
 from .domains import Domain, SampleSet
@@ -37,6 +38,8 @@ from .fields import (
     ScalarField,
     VectorField,
     evaluate,
+    exp,
+    log,
     sqrt,
     substitute,
     vector,
@@ -247,16 +250,13 @@ def example_decomposition(name: str) -> tuple[GGSData, Domain]:
     Theta = -x1 x2 - x1^2/2 (= -chi), Psi = -log x1 = z, and the single-valued
     potential Phi integrates w - Psi grad Theta in closed form.
     """
-    from . import clebsch as _clebsch
-    from .fields import exp as _exp, log as _log
-
     if name != "w4_1":
         raise KeyError(f"no built-in decomposition for {name!r}")
-    sol = _clebsch.catalog("w4_1")
-    x1 = _exp(-z)
+    sol = clebsch.catalog("w4_1")
+    x1 = exp(-z)
     x2 = x
     theta = -x1 * x2 - x1**2 / 2
-    psi = -_log(x1)
-    phi = x**2 / 2 - y**2 / 2 + x * _exp(-z) * (1 + z) + z + _exp(-2 * z) * (z / 2 + 0.25)
+    psi = -log(x1)
+    phi = x**2 / 2 - y**2 / 2 + x * exp(-z) * (1 + z) + z + exp(-2 * z) * (z / 2 + 0.25)
     data = GGSData(w=sol.w, theta=theta, psi=psi, x1=x1, x2=x2, phi=phi)
     return data, Domain.box((-1.0, -1.0, 0.2), (1.0, 1.0, 1.0))

@@ -8,7 +8,8 @@ import numpy as np
 
 from mhstools import beltrami, checks, clebsch, lieops
 from mhstools import fields as F
-from mhstools.domains import sample
+from mhstools.characteristics import CharacteristicsProblem, InitialCurve, solve_characteristics
+from mhstools.domains import Domain, sample
 from mhstools.symmetry import KillingParams, killing_scan
 
 
@@ -52,3 +53,26 @@ def test_inproc_call_shapes():
     assert killing_scan(rec.field, rec.domain, samples=ss).null_dim >= 0
     orbit = lieops.lie_generate(rec, KillingParams((0, 0, 0), (0, 0, 1)), 2, samples=ss)
     assert len(orbit.members) == 3
+
+
+def test_characteristics_rows_read_as_columns():
+    # bench/inproc.py and bench/tracer.py read rows of the solve's record
+    # array; the library reads its columns, which must hold the same numbers
+    prob = CharacteristicsProblem(
+        advecting=F.vector(0.0, 0.0, 1.0), source=-1.0,
+        initial=InitialCurve(surface=F.z, data=0.0 * F.y),
+        domain=Domain.box((-1, -1, -1), (1, 1, 1)),
+    )
+    out = solve_characteristics(prob, np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5],
+                                                [0.0, 0.0, 5.0]]))
+    assert isinstance(out, np.recarray) and len(out) == 3
+    assert sum(1 for r in out if r.ok) == 2
+    np.testing.assert_array_equal(out.ok, [r.ok for r in out])
+    np.testing.assert_array_equal(out.value, [r.value for r in out])
+    np.testing.assert_array_equal(out.error_estimate, [r.error_estimate for r in out])
+    ok = out[out.ok]
+    assert max(r.error_estimate for r in ok) == ok.error_estimate.max()
+    np.testing.assert_allclose([r.value for r in ok], [-0.5, 0.5], atol=1e-12)
+    assert out[0].message == ""
+    assert out[2].message == "characteristic left the domain"
+    assert np.isnan(out[2].value) and np.isnan(out[2].error_estimate)

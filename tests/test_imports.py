@@ -1,7 +1,9 @@
-"""Source hygiene: unused imports, one order-0 evaluation path, the README example.
+"""Source hygiene: unused and function-local imports, one order-0 evaluation
+path, the README example.
 
 Every name a module of the package imports is used in that module;
-`__init__.py` is exempt, its imports are the public re-exports.
+`__init__.py` is exempt, its imports are the public re-exports.  Every import
+sits at module level: no import cycle in the package needs one deferred.
 """
 
 import ast
@@ -57,6 +59,16 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted({inner.lineno for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))})
+    assert not lines, f"{path.name} imports inside a function on lines {lines}"
 
 
 def _builds_eval_context(node: ast.AST) -> bool:
