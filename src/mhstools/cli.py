@@ -332,16 +332,14 @@ def cmd_characteristics(args) -> tuple[dict, list[str]]:
         result = {"quantity": "psi", "sup_error": sup, "n_failed": int((~ok).sum())}
         text = [f"sup error vs closed form: {sup:.3e} ({int(ok.sum())}/{len(ok)} points)"]
     elif name in ("abc_minimal", "cylindrical"):
+        result, text, passed = {"quantity": "alpha"}, [], True
         try:
             alpha_from_characteristics(
                 name, p=fsin(S) + T, g=-fsin(T), n_targets=args.samples,
                 tol=_CHAR_TOL, seed=args.seed,
             )
-            passed = True
         except beltrami.ConstructionError as e:
-            print(f"error: {e}", file=sys.stderr)
-            passed = False
-        result, text = {"quantity": "alpha"}, []
+            result["error"], text, passed = str(e), [f"error: {e}"], False
     else:
         raise UsageError(
             "characteristics supports w4_1, w4_2 (psi) and abc_minimal, cylindrical (alpha)"

@@ -10,6 +10,12 @@ for one order more and reads the derivative off by an exact column shift, so
 nested derivative nodes such as repeated Lie transport stay exact to roundoff
 and cost one tree walk.
 
+A node's children are its `Field`-typed dataclass fields, and `substitute`
+rebuilds any node from them with `dataclasses.replace`.  The node classes are
+their own public constructors (`exp = Exp`, `vector = FromComponents`, ...);
+the unary functions, `atan2`, `vector` and `VScale` turn a number given for a
+scalar child into a `Const` in `__post_init__`.
+
 Domain violations (log of a non-positive argument, division by zero, ...) are
 recorded per sample point and never abort a batched evaluation; single-point
 evaluation raises `EvaluationError` naming the offending node.
@@ -17,6 +23,8 @@ evaluation raises `EvaluationError` naming the offending node.
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,62 +218,6 @@ class Placeholder(ScalarField):
 
 
 @dataclass(frozen=True)
-class Add(ScalarField):
-    a: ScalarField
-    b: ScalarField
-    precedence = 10
-
-    def jet(self, pts, order=2, ctx=None):
-        return self.a.jet(pts, order, ctx) + self.b.jet(pts, order, ctx)
-
-    def render(self):
-        return f"{self.a._wrap(10)} + {self.b._wrap(11)}"
-
-
-@dataclass(frozen=True)
-class Sub(ScalarField):
-    a: ScalarField
-    b: ScalarField
-    precedence = 10
-
-    def jet(self, pts, order=2, ctx=None):
-        return self.a.jet(pts, order, ctx) - self.b.jet(pts, order, ctx)
-
-    def render(self):
-        return f"{self.a._wrap(10)} - {self.b._wrap(11)}"
-
-
-@dataclass(frozen=True)
-class Mul(ScalarField):
-    a: ScalarField
-    b: ScalarField
-    precedence = 20
-
-    def jet(self, pts, order=2, ctx=None):
-        return self.a.jet(pts, order, ctx) * self.b.jet(pts, order, ctx)
-
-    def render(self):
-        return f"{self.a._wrap(20)}*{self.b._wrap(21)}"
-
-
-@dataclass(frozen=True)
-class Div(ScalarField):
-    a: ScalarField
-    b: ScalarField
-    precedence = 20
-
-    def jet(self, pts, order=2, ctx=None):
-        ja = self.a.jet(pts, order, ctx)
-        jb = self.b.jet(pts, order, ctx)
-        if ctx is not None:
-            ctx.flag(self, jb.value == 0.0)
-        return ja / jb
-
-    def render(self):
-        return f"{self.a._wrap(20)}/{self.b._wrap(21)}"
-
-
-@dataclass(frozen=True)
 class Neg(ScalarField):
     a: ScalarField
     precedence = 15
@@ -285,22 +237,58 @@ class Pow(ScalarField):
 
     def jet(self, pts, order=2, ctx=None):
         j = self.base.jet(pts, order, ctx)
-        if ctx is not None:
-            e = self.expo
-            if e != int(e):
-                ctx.flag(self, j.value < 0.0)
-            elif e < 0:
-                ctx.flag(self, j.value == 0.0)
-        return jpow(j, self.expo)
+        e = self.expo
+        neg, frac = e < 0, e != int(e)
+        if ctx is not None and (neg or frac):
+            # a negative power fails at 0, a fractional one below 0
+            v = j.value
+            ctx.flag(self, ((v == 0.0) & neg) | ((v < 0.0) & frac))
+        return jpow(j, e)
 
     def render(self):
         return f"{self.base._wrap(31)}^{_num(self.expo)}"
+
+
+def _as_scalars(node, *names) -> None:
+    """Turn numbers given for the scalar children `names` of a new node into `Const`s."""
+    for name in names:
+        object.__setattr__(node, name, as_scalar(getattr(node, name)))
+
+
+def _binary(name: str, fn, symbol: str, precedence: int, domain=None):
+    @dataclass(frozen=True)
+    class Node(ScalarField):
+        a: ScalarField
+        b: ScalarField
+
+        def jet(self, pts, order=2, ctx=None):
+            ja = self.a.jet(pts, order, ctx)
+            jb = self.b.jet(pts, order, ctx)
+            if ctx is not None and domain is not None:
+                ctx.flag(self, domain(jb.value))
+            return fn(ja, jb)
+
+        def render(self):
+            return f"{self.a._wrap(precedence)}{symbol}{self.b._wrap(precedence + 1)}"
+
+    Node.precedence = precedence
+    Node.__name__ = Node.__qualname__ = name
+    return Node
+
+
+Add = _binary("Add", operator.add, " + ", 10)
+Sub = _binary("Sub", operator.sub, " - ", 10)
+Mul = _binary("Mul", operator.mul, "*", 20)
+Div = _binary("Div", operator.truediv, "/", 20, domain=np.logical_not)  # b == 0, no Python call
 
 
 def _unary(name: str, fn, domain=None):
     @dataclass(frozen=True)
     class Node(ScalarField):
         a: ScalarField
+
+        def __post_init__(self):
+            _as_scalars(self, "a")
 
         def jet(self, pts, order=2, ctx=None):
             j = self.a.jet(pts, order, ctx)
@@ -311,8 +299,7 @@ def _unary(name: str, fn, domain=None):
         def render(self):
             return f"{name}({self.a.render()})"
 
-    Node.__name__ = name.capitalize()
-    Node.__qualname__ = Node.__name__
+    Node.__name__ = Node.__qualname__ = name.capitalize()
     return Node
 
 
@@ -327,6 +314,9 @@ Sqrt = _unary("sqrt", jsqrt, domain=lambda v: v < 0.0)
 class Atan2(ScalarField):
     ynode: ScalarField
     xnode: ScalarField
+
+    def __post_init__(self):
+        _as_scalars(self, "ynode", "xnode")
 
     def jet(self, pts, order=2, ctx=None):
         jy = self.ynode.jet(pts, order, ctx)
@@ -414,36 +404,17 @@ X = Coord(0)
 Y = Coord(1)
 Z = Coord(2)
 x, y, z = X, Y, Z
-
-
-def exp(f) -> ScalarField:
-    return Exp(as_scalar(f))
-
-
-def log(f) -> ScalarField:
-    return Log(as_scalar(f))
-
-
-def sin(f) -> ScalarField:
-    return Sin(as_scalar(f))
-
-
-def cos(f) -> ScalarField:
-    return Cos(as_scalar(f))
-
-
-def sqrt(f) -> ScalarField:
-    return Sqrt(as_scalar(f))
-
-
-def atan2(fy, fx) -> ScalarField:
-    return Atan2(as_scalar(fy), as_scalar(fx))
+exp, log, sin, cos, sqrt, atan2 = Exp, Log, Sin, Cos, Sqrt, Atan2
+dot, divergence = Dot, Divergence
 
 
 def substitute(expr: ScalarField, mapping: dict) -> ScalarField:
     """Rebuild `expr` with Placeholder/Coord nodes replaced per `mapping`.
 
     Keys are placeholder names ("T", "s", ...) or axis letters "x", "y", "z".
+    Every other node is rebuilt from its rebuilt children, except a
+    `Compose1`'s `gexpr`, which is written in its own variable.  A node
+    that holds a vector field raises `TypeError`.
     """
 
     def rebuild(node):
@@ -451,21 +422,15 @@ def substitute(expr: ScalarField, mapping: dict) -> ScalarField:
             return as_scalar(mapping[node.name])
         if isinstance(node, Coord) and _AXES[node.axis] in mapping:
             return as_scalar(mapping[_AXES[node.axis]])
-        if isinstance(node, (Const, Coord, Placeholder)):
-            return node
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            return type(node)(rebuild(node.a), rebuild(node.b))
-        if isinstance(node, Neg):
-            return Neg(rebuild(node.a))
-        if isinstance(node, Pow):
-            return Pow(rebuild(node.base), node.expo)
-        if isinstance(node, (Exp, Log, Sin, Cos, Sqrt)):
-            return type(node)(rebuild(node.a))
-        if isinstance(node, Atan2):
-            return Atan2(rebuild(node.ynode), rebuild(node.xnode))
-        if isinstance(node, Compose1):
-            return Compose1(node.gexpr, rebuild(node.inner), node.var)
-        raise TypeError(f"cannot substitute inside node {node!r}")
+        kids = {}
+        for f in dataclasses.fields(node):
+            child = getattr(node, f.name)
+            if isinstance(child, VectorField):
+                raise TypeError(f"cannot substitute inside node {node!r}")
+            if isinstance(child, ScalarField) and not (
+                    isinstance(node, Compose1) and f.name == "gexpr"):
+                kids[f.name] = rebuild(child)
+        return dataclasses.replace(node, **kids) if kids else node
 
     return rebuild(expr)
 
@@ -531,6 +496,9 @@ class FromComponents(VectorField):
     fx: ScalarField
     fy: ScalarField
     fz: ScalarField
+
+    def __post_init__(self):
+        _as_scalars(self, "fx", "fy", "fz")
 
     def _jets(self, pts, order=2, ctx=None):
         return (
@@ -609,8 +577,7 @@ class VScale(VectorField):
     w: VectorField
 
     def __post_init__(self):
-        if not isinstance(self.f, ScalarField):
-            object.__setattr__(self, "f", as_scalar(self.f))
+        _as_scalars(self, "f")
 
     def _jets(self, pts, order=2, ctx=None):
         jf = self.f.jet(pts, order, ctx)
@@ -690,28 +657,7 @@ class LieEuclidean(VectorField):
 # public constructors --------------------------------------------------------
 
 
-def vector(fx, fy, fz) -> VectorField:
-    return FromComponents(as_scalar(fx), as_scalar(fy), as_scalar(fz))
-
-
-def grad(f: ScalarField) -> VectorField:
-    return Gradient(f)
-
-
-def curl(w: VectorField) -> VectorField:
-    return Curl(w)
-
-
-def cross(u: VectorField, v: VectorField) -> VectorField:
-    return Cross(u, v)
-
-
-def dot(u: VectorField, v: VectorField) -> ScalarField:
-    return Dot(u, v)
-
-
-def divergence(w: VectorField) -> ScalarField:
-    return Divergence(w)
+vector, grad, curl, cross = FromComponents, Gradient, Curl, Cross
 
 
 def lie_derivative(w: VectorField, xi: VectorField) -> VectorField:

@@ -143,6 +143,8 @@ class KillingReport:
 def killing_scan(w: VectorField, domain: Domain, samples: SampleSet | None = None,
                  threshold: float = DEFAULT_THRESHOLD) -> KillingReport:
     """Null space of (a, b) -> Lie(a + b x r) w over samples (default: 1000 Halton of domain)."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     if samples is None:
         samples = sample(domain, DEFAULT_SAMPLES)
     if samples.count < 6:

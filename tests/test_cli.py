@@ -134,6 +134,13 @@ class TestSymmetry:
         assert (rc, out) == (2, "")
         assert err == "error: need at least 6 samples for a 6-parameter scan\n"
 
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1", "1"])
+    def test_threshold_outside_unit_interval_is_a_usage_error(self, capsys, threshold):
+        rc, out, err = run(capsys, "symmetry", "exp_x3", "--samples", "20",
+                           f"--threshold={threshold}")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: threshold must lie in (0, 1)")
+
     def test_report_schema(self, capsys):
         rc, out, _ = run(capsys, "symmetry", "cylindrical", "--format", "json", "--samples", "300")
         rep = json.loads(out)["report"]
@@ -344,6 +351,24 @@ class TestCharacteristics:
         )
         assert rc == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_alpha_failure_is_reported_in_the_output(self, capsys, monkeypatch, fmt):
+        from mhstools import cli
+        from mhstools.beltrami import ConstructionError
+
+        def fail(*args, **kwargs):
+            raise ConstructionError("transport missed the gate")
+
+        monkeypatch.setattr(cli, "alpha_from_characteristics", fail)
+        rc, out, err = run(capsys, "characteristics", "cylindrical", "--format", fmt)
+        assert (rc, err) == (1, "")
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["passed"] is False
+            assert doc["error"] == "transport missed the gate"
+        else:
+            assert out == "error: transport missed the gate\nFAILED\n"
 
     def test_unsupported_name(self, capsys):
         rc, _, err = run(capsys, "characteristics", "exp_x3")

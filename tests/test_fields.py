@@ -1,24 +1,34 @@
 """Expression-tree operators: spec examples, identities, FD agreement."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian, random_scalar_field, random_solenoidal_field
 
 from mhstools.domains import Domain, sample
 from mhstools.fields import (
+    Compose1,
     Const,
+    Coord,
     Divergence,
     EvaluationError,
     Gradient,
+    Placeholder,
+    ScalarField,
+    atan2,
     cos,
     cross,
     curl,
     divergence,
+    evaluate,
     exp,
     grad,
     lie_derivative,
     log,
     sin,
+    substitute,
     vector,
     x,
     y,
@@ -268,3 +278,94 @@ class TestErrorHandling:
         st, errors = stats(field, ss)
         assert st.n_errors == sum(flagged)
         assert node in errors
+
+
+class TestPowDomain:
+    # rows: x = 0, x = -1
+    PTS = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "expo,flagged",
+        [(-0.5, [True, True]), (-1.0, [True, False]), (0.5, [False, True])],
+    )
+    def test_flags_zero_for_negative_and_below_zero_for_fractional(self, expo, flagged):
+        f = x**expo
+        node = f.render()
+        _, ctx = evaluate(f, self.PTS)
+        assert ctx.invalid.tolist() == flagged
+        assert list(ctx.errors) == ([node] if any(flagged) else [])
+        for p, bad in zip(self.PTS, flagged):
+            if bad:
+                with pytest.raises(EvaluationError, match=re.escape(f"node {node!r}")):
+                    f(p)
+            else:
+                assert np.isfinite(f(p))
+
+    def test_nonnegative_integer_power_is_never_flagged(self):
+        _, ctx = evaluate(x**2, self.PTS)
+        assert not ctx.invalid.any() and not ctx.errors
+
+
+def _scalar_node_classes(cls=None):
+    """Every concrete ScalarField node class, found through `__subclasses__`."""
+    for sub in (cls or ScalarField).__subclasses__():
+        if dataclasses.is_dataclass(sub):
+            yield sub
+        yield from _scalar_node_classes(sub)
+
+
+def _build(cls, scalar):
+    """An instance of `cls` with every scalar child set to `scalar`."""
+    args = []
+    for f in dataclasses.fields(cls):
+        if f.name == "gexpr":
+            args.append(Placeholder("T"))
+        elif "VectorField" in f.type:
+            args.append(vector(scalar, y, z))
+        else:
+            args.append({"ScalarField": scalar, "float": 2.0, "int": 0, "str": "T"}[f.type])
+    return cls(*args)
+
+
+HOLDS_VECTOR = {"Dot", "VComponent", "Divergence"}
+SCALAR_NODES = sorted(_scalar_node_classes(), key=lambda c: c.__name__)
+
+
+class TestSubstitute:
+    def test_every_node_class_is_covered(self):
+        names = {c.__name__ for c in SCALAR_NODES}
+        assert {"Add", "Sub", "Mul", "Div", "Exp", "Atan2", "Compose1"} | HOLDS_VECTOR <= names
+
+    @pytest.mark.parametrize("cls", SCALAR_NODES, ids=lambda c: c.__name__)
+    def test_rebuilds_every_node(self, cls):
+        node = _build(cls, x)
+        if cls.__name__ in HOLDS_VECTOR:
+            with pytest.raises(TypeError, match="cannot substitute inside node"):
+                substitute(node, {})
+            return
+        assert substitute(node, {}) == node
+        expected = y if cls is Coord else _build(cls, y)
+        out = substitute(node, {"x": y})
+        assert out == expected
+        assert out.render() == expected.render()
+
+    def test_compose1_keeps_its_own_expression(self):
+        g = x * Placeholder("T") + Placeholder("T") ** 2
+        out = substitute(Compose1(g, x + Placeholder("T")), {"x": z, "T": y})
+        assert out.gexpr is g
+        assert out.inner.render() == "z + y"
+
+    @pytest.mark.parametrize(
+        "made,expected",
+        [
+            (lambda: exp(1.0), "exp(1)"),
+            (lambda: atan2(1.0, x), "atan2(1, x)"),
+            (lambda: vector(0.0, x, 1), "(0, x, 1)"),
+        ],
+        ids=["exp", "atan2", "vector"],
+    )
+    def test_constructors_turn_numbers_into_const(self, made, expected):
+        node = made()
+        kids = [getattr(node, f.name) for f in dataclasses.fields(node)]
+        assert all(isinstance(k, Const) for k in kids if not isinstance(k, Coord))
+        assert node.render() == expected

@@ -95,6 +95,12 @@ class TestLieEuclidean:
 
 
 class TestKillingScan:
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0, 1.0])
+    def test_threshold_must_lie_in_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            killing_scan(vector(1.0, 0.0, 0.0), BALL, samples=sample(BALL, 20),
+                         threshold=threshold)
+
     def test_constant_field_dimension_four(self):
         w = vector(1.0, 0.0, 0.0)
         rep = killing_scan(w, BALL, samples=sample(BALL, 400))
