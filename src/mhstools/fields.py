@@ -26,10 +26,11 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .jets import Jet, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
+from .jets import Jet, _rotation, _shift, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
 
 _AXES = "xyz"
 
@@ -240,9 +241,10 @@ class Pow(ScalarField):
         e = self.expo
         neg, frac = e < 0, e != int(e)
         if ctx is not None and (neg or frac):
-            # a negative power fails at 0, a fractional one below 0
+            # a fractional power fails below 0, and at 0 every derivative block
+            # of degree above e is infinite (all of them for e < 0)
             v = j.value
-            ctx.flag(self, ((v == 0.0) & neg) | ((v < 0.0) & frac))
+            ctx.flag(self, ((v == 0.0) & (order > e)) | ((v < 0.0) & frac))
         return jpow(j, e)
 
     def render(self):
@@ -293,7 +295,7 @@ def _unary(name: str, fn, domain=None):
         def jet(self, pts, order=2, ctx=None):
             j = self.a.jet(pts, order, ctx)
             if ctx is not None and domain is not None:
-                ctx.flag(self, domain(j.value))
+                ctx.flag(self, domain(j.value, order))
             return fn(j)
 
         def render(self):
@@ -304,10 +306,11 @@ def _unary(name: str, fn, domain=None):
 
 
 Exp = _unary("exp", jexp)
-Log = _unary("log", jlog, domain=lambda v: v <= 0.0)
+Log = _unary("log", jlog, domain=lambda v, order: v <= 0.0)
 Sin = _unary("sin", jsin)
 Cos = _unary("cos", jcos)
-Sqrt = _unary("sqrt", jsqrt, domain=lambda v: v < 0.0)
+# sqrt's derivative blocks are infinite at 0
+Sqrt = _unary("sqrt", jsqrt, domain=lambda v, order: v <= 0.0 if order else v < 0.0)
 
 
 @dataclass(frozen=True)
@@ -385,12 +388,16 @@ class Compose1(ScalarField):
     inner: ScalarField
     var: str = "T"
 
+    @cached_property
+    def _gx(self) -> ScalarField:
+        """`gexpr` over the first axis, built once per node."""
+        return substitute(self.gexpr, {self.var: X})
+
     def jet(self, pts, order=2, ctx=None):
         ju = self.inner.jet(pts, order, ctx)
-        gx = substitute(self.gexpr, {self.var: X})
         seeded = np.zeros((ju.value.shape[0], 3))
         seeded[:, 0] = ju.value
-        jt = gx.jet(seeded, order + 1, ctx)
+        jt = self._gx.jet(seeded, order + 1, ctx)
         # g', g'', ... along the seeded axis: column 0 of each block
         return ju.chain([b[:, 0] for b in jt.c[1:]])
 
@@ -612,10 +619,12 @@ class Lie(VectorField):
 
 @dataclass(frozen=True)
 class LieEuclidean(VectorField):
-    """Lie derivative of `w` along the rigid generator a + b x r.
+    """Lie derivative of `w` along the rigid generator xi = a + b x r = a + B r.
 
-    Uses the closed form (a + b x r) . grad w - b x w; the generator's own
-    gradient is the constant cross-product matrix of b.
+    xi is linear, so the product rule needs no Leibniz sums: column alpha of
+    block d of component k is sum_i xi_i D^(alpha + e_i) w_k (one column
+    gather of block d + 1) + sum_(i != j) B_ij alpha_j D^(alpha - e_j + e_i) w_k
+    (block d times `jets._rotation(d)` contracted with B) - sum_j B_kj D^alpha w_j.
     """
 
     a: tuple
@@ -624,29 +633,23 @@ class LieEuclidean(VectorField):
 
     def _jets(self, pts, order=2, ctx=None):
         jw = self.w.jets(pts, order + 1, ctx)
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        n = pts.shape[0]
-        # the generator is linear: values xivals, constant gradient rows bmat
-        bmat = np.array(
-            [[0.0, -b[2], b[1]], [b[2], 0.0, -b[0]], [-b[1], b[0], 0.0]]
-        )
-        xivals = a[None, :] + np.cross(np.broadcast_to(b, (n, 3)), pts)
-        xi = []
-        for i in range(3):
-            xi.append(Jet.constant(xivals[:, i].copy(), order=order))
-            if order >= 1:
-                xi[i].c[1][:] = bmat[i]
+        (a0, a1, a2), (b0, b1, b2) = self.a, self.b
+        x, y, z = pts.T
+        xi = (a0 + (b1 * z - b2 * y), a1 + (b2 * x - b0 * z), a2 + (b0 * y - b1 * x))
+        bmat = np.array([[0.0, -b2, b1], [b2, 0.0, -b0], [-b1, b0, 0.0]])
+        # block d of the three components stacked, (3, N, cols); block 0 as one column
+        w = [np.array([j.c[d].reshape(len(pts), -1) for j in jw]) for d in range(order + 2)]
         out = []
-        for k in range(3):
-            acc = xi[0] * jw[k].partial(0)
-            for i in (1, 2):
-                acc = acc + xi[i] * jw[k].partial(i)
-            # subtract (b x w)_k
-            i1, i2 = ((1, 2), (2, 0), (0, 1))[k]
-            acc = acc - (jw[i2] * float(b[i1]) - jw[i1] * float(b[i2]))
-            out.append(acc)
-        return tuple(out)
+        for d in range(order + 1):
+            q = w[d].shape[2]
+            g = w[d + 1][:, :, np.concatenate([_shift(d, i) for i in range(3)])]
+            acc = xi[0][:, None] * g[..., :q] + xi[1][:, None] * g[..., q:2 * q]
+            acc = acc + xi[2][:, None] * g[..., 2 * q:]
+            if d:
+                rot = np.einsum("ij,ijpq->pq", bmat, _rotation(d))
+                acc = acc + np.einsum("knp,pq->knq", w[d], rot)
+            out.append(acc - np.einsum("kj,jnq->knq", bmat, w[d]))
+        return tuple(Jet([out[0][k, :, 0], *(o[k] for o in out[1:])]) for k in range(3))
 
     def render(self):
         a = ",".join(_num(v) for v in self.a)

@@ -44,6 +44,20 @@ def _shift(d: int, axis: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _rotation(d: int) -> np.ndarray:
+    """Product-rule table of a linear field B r on block d: entry [i, j, p, q] is
+    alpha_j where column q is alpha and column p is alpha - e_j + e_i, so column
+    q of (block d) @ sum_ij B_ij [i, j] is sum_ij B_ij alpha_j D^(alpha - e_j + e_i)."""
+    cols = monomials(d)
+    table = np.zeros((3, 3, len(cols), len(cols)))
+    for q, alpha in enumerate(cols):
+        for n, j in enumerate(alpha):  # once per factor of axis j: alpha_j in all
+            for i in range(3):
+                table[i, j, cols.index(tuple(sorted(alpha[:n] + (i,) + alpha[n + 1:]))), q] += 1
+    return table
+
+
+@lru_cache(maxsize=None)
 def _leibniz(d: int, lo: int, square: bool = False):
     """Pair table of the degree-d Leibniz sum over left degrees lo..d-1.
 

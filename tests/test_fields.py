@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian, random_scalar_field, random_solenoidal_field
 
+from mhstools import fields
 from mhstools.domains import Domain, sample
 from mhstools.fields import (
     Compose1,
     Const,
     Coord,
     Divergence,
+    EvalContext,
     EvaluationError,
     Gradient,
     Placeholder,
@@ -28,6 +30,7 @@ from mhstools.fields import (
     lie_derivative,
     log,
     sin,
+    sqrt,
     substitute,
     vector,
     x,
@@ -305,6 +308,22 @@ class TestPowDomain:
         _, ctx = evaluate(x**2, self.PTS)
         assert not ctx.invalid.any() and not ctx.errors
 
+    @pytest.mark.parametrize("f", [x**0.5, sqrt(x)], ids=["pow", "sqrt"])
+    def test_infinite_derivative_at_zero_names_the_node(self, f):
+        assert f((0.0, 0.0, 0.0)) == 0.0  # values alone are finite
+        with pytest.raises(EvaluationError, match=re.escape(f"node {f.render()!r}")):
+            grad(f)((0.0, 0.0, 0.0))
+
+    def test_fractional_power_flags_zero_above_its_exponent(self):
+        f, pts = x**1.5, self.PTS[:1]
+        for order, flagged in ((0, False), (1, False), (2, True)):
+            ctx = EvalContext(1)
+            with np.errstate(all="ignore"):
+                j = f.jet(pts, order=order, ctx=ctx)
+            assert bool(ctx.invalid[0]) == flagged
+            assert list(ctx.errors) == (["x^1.5"] if flagged else [])
+            assert all(np.isfinite(b).all() for b in j.c) != flagged
+
 
 def _scalar_node_classes(cls=None):
     """Every concrete ScalarField node class, found through `__subclasses__`."""
@@ -348,6 +367,18 @@ class TestSubstitute:
         out = substitute(node, {"x": y})
         assert out == expected
         assert out.render() == expected.render()
+
+    def test_compose1_substitutes_once_per_node(self, monkeypatch):
+        node = Compose1(sin(Placeholder("T")) + Placeholder("T") ** 2, x * y)
+        pts = np.array([[0.3, 0.4, 0.5], [1.0, -2.0, 0.0]])
+        first = node.values(pts)
+        calls = []
+        monkeypatch.setattr(fields, "substitute", lambda *a: calls.append(a))
+        for _ in range(3):
+            np.testing.assert_array_equal(node.values(pts), first)
+        assert calls == []
+        assert dataclasses.fields(node) == dataclasses.fields(Compose1)
+        assert node == Compose1(node.gexpr, node.inner) and "_gx" not in repr(node)
 
     def test_compose1_keeps_its_own_expression(self):
         g = x * Placeholder("T") + Placeholder("T") ** 2
