@@ -45,8 +45,8 @@ class EvalContext:
     `memo`, when set, is a dict shared by the evaluations of one report, scan
     or orbit: each vector node keeps its component jets there, one entry per
     (node, points) at the highest order asked (see `VectorField.jets`).
-    `flags` lists every (node, mask) raised, so a reused subtree can raise
-    them again.
+    `flags` lists every (node, mask, spare) raised, spare = order - lowest for a
+    mask raised at every order from `lowest` on, so a reuse can raise it again.
     """
 
     __slots__ = ("invalid", "errors", "flags", "memo")
@@ -57,12 +57,12 @@ class EvalContext:
         self.flags: list = []
         self.memo: dict | None = None
 
-    def flag(self, node, mask: np.ndarray) -> None:
+    def flag(self, node, mask: np.ndarray, order: int, lowest: int = 0) -> None:
         if mask.any():
             self.invalid |= mask
             key = node.render()
             self.errors[key] = self.errors.get(key, 0) + int(mask.sum())
-            self.flags.append((node, mask))
+            self.flags.append((node, mask, order - lowest))
 
 
 def as_points(p) -> np.ndarray:
@@ -241,10 +241,10 @@ class Pow(ScalarField):
         e = self.expo
         neg, frac = e < 0, e != int(e)
         if ctx is not None and (neg or frac):
-            # a fractional power fails below 0, and at 0 every derivative block
-            # of degree above e is infinite (all of them for e < 0)
-            v = j.value
-            ctx.flag(self, ((v == 0.0) & (order > e)) | ((v < 0.0) & frac))
+            # a fractional power fails below 0; at 0 blocks of degree above e are infinite
+            ctx.flag(self, (j.value < 0.0) & frac, order)
+            if order > e:
+                ctx.flag(self, j.value == 0.0, order, max(0, int(np.floor(e)) + 1))
         return jpow(j, e)
 
     def render(self):
@@ -267,7 +267,7 @@ def _binary(name: str, fn, symbol: str, precedence: int, domain=None):
             ja = self.a.jet(pts, order, ctx)
             jb = self.b.jet(pts, order, ctx)
             if ctx is not None and domain is not None:
-                ctx.flag(self, domain(jb.value))
+                ctx.flag(self, domain(jb.value), order)
             return fn(ja, jb)
 
         def render(self):
@@ -284,7 +284,7 @@ Mul = _binary("Mul", operator.mul, "*", 20)
 Div = _binary("Div", operator.truediv, "/", 20, domain=np.logical_not)  # b == 0, no Python call
 
 
-def _unary(name: str, fn, domain=None):
+def _unary(name: str, fn, domain=None, pole=False):
     @dataclass(frozen=True)
     class Node(ScalarField):
         a: ScalarField
@@ -295,7 +295,9 @@ def _unary(name: str, fn, domain=None):
         def jet(self, pts, order=2, ctx=None):
             j = self.a.jet(pts, order, ctx)
             if ctx is not None and domain is not None:
-                ctx.flag(self, domain(j.value, order))
+                ctx.flag(self, domain(j.value), order)
+            if ctx is not None and pole and order >= 1:
+                ctx.flag(self, j.value == 0.0, order, 1)
             return fn(j)
 
         def render(self):
@@ -306,11 +308,11 @@ def _unary(name: str, fn, domain=None):
 
 
 Exp = _unary("exp", jexp)
-Log = _unary("log", jlog, domain=lambda v, order: v <= 0.0)
+Log = _unary("log", jlog, domain=lambda v: v <= 0.0)
 Sin = _unary("sin", jsin)
 Cos = _unary("cos", jcos)
-# sqrt's derivative blocks are infinite at 0
-Sqrt = _unary("sqrt", jsqrt, domain=lambda v, order: v <= 0.0 if order else v < 0.0)
+# sqrt's derivative blocks are infinite at 0: `pole` flags it there from order 1 on
+Sqrt = _unary("sqrt", jsqrt, domain=lambda v: v < 0.0, pole=True)
 
 
 @dataclass(frozen=True)
@@ -325,7 +327,7 @@ class Atan2(ScalarField):
         jy = self.ynode.jet(pts, order, ctx)
         jx = self.xnode.jet(pts, order, ctx)
         if ctx is not None:
-            ctx.flag(self, (jy.value == 0.0) & (jx.value == 0.0))
+            ctx.flag(self, (jy.value == 0.0) & (jx.value == 0.0), order)
         return jatan2(jy, jx)
 
     def render(self):
@@ -462,8 +464,8 @@ class VectorField(Field):
         them, truncated (block d is the same at every order, so a truncated
         jet is bit-identical to a fresh one), and a higher request recomputes
         and replaces them.  The blocks are shared, so no caller may write into
-        them; each reuse raises the subtree's flags again, so invalid masks
-        and error counts are those of a fresh walk.
+        them; each reuse raises the subtree's flags that a walk at this order
+        raises, so invalid masks and error counts are those of a fresh walk.
         """
         memo = None if ctx is None else ctx.memo
         if memo is None:
@@ -477,8 +479,9 @@ class VectorField(Field):
             memo[key] = (self, pts, order, out, ctx.flags[start:])
             return out
         _, _, have, out, flags = hit
-        for node, mask in flags:
-            ctx.flag(node, mask)
+        for node, mask, spare in flags:
+            if spare >= have - order:
+                ctx.flag(node, mask, spare - (have - order))
         if have == order:
             return out
         return tuple(Jet(j.c[:order + 1]) for j in out)

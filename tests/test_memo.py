@@ -8,7 +8,7 @@ from mhstools import fields as F
 from mhstools.beltrami import HarmonicPair, from_harmonic_pair
 from mhstools.checks import residual_report
 from mhstools.domains import Domain, SampleSet, sample
-from mhstools.fields import Curl, Divergence, cos, exp, log, sin, vector, x, y, z
+from mhstools.fields import Curl, Divergence, cos, exp, log, sin, sqrt, vector, x, y, z
 from mhstools.lieops import commutator_defect, lie_generate
 from mhstools.symmetry import KillingParams, killing_scan
 
@@ -71,6 +71,26 @@ def test_shared_node_keeps_error_counts(monkeypatch):
     monkeypatch.setattr(checks, "evaluate", _fresh)
     for rep, channels in zip(reports, orders):
         assert rep.to_dict() == residual_report("shared", ss, channels).to_dict()
+
+
+
+@pytest.mark.parametrize("field", [vector(sqrt(x), y, 1.0), vector(x ** 1.5, y, 1.0),
+                                   Curl(vector(sqrt(x), x ** 1.5, y))])
+def test_truncated_hit_keeps_order_dependent_flags(field):
+    # at x == 0, sqrt(x) is flagged from order 1 on and x^1.5 from order 2 on
+    # (both at x < 0 at every order): an entry made at order 2 serves orders 1
+    # and 0 with the flags of a fresh walk at those orders
+    pts = np.array([[0.0, 0.5, 0.0], [-1.0, 0.2, 0.1], [0.3, 0.9, 0.5]])
+    memo, fresh_errors = {}, []
+    for order in (2, 1, 0):
+        fresh, shared = F.EvalContext(len(pts)), F.EvalContext(len(pts))
+        shared.memo = memo
+        field.jets(pts, order, fresh)
+        field.jets(pts, order, shared)
+        assert np.array_equal(shared.invalid, fresh.invalid)
+        assert shared.errors == fresh.errors
+        fresh_errors.append(fresh.errors)
+    assert fresh_errors[0] != fresh_errors[2]
 
 
 def _subclasses(cls):

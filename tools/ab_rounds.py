@@ -4,11 +4,12 @@
 
 One persistent worker per checkout, with its `src/` and `bench/` on `sys.path`,
 `OPENBLAS_NUM_THREADS=1` and `PYTHONHASHSEED=0`, runs batches of rounds 0..K-1
-of the seed's plan through `bench/inproc.py`, timed by `bench/opcontext.py`,
-after one untimed warm-up round.  Batches alternate A-B, B-A, ..., so host
-drift falls on both sides alike.  Prints each side's round median and minimum,
-op_p50 and per-kind medians in ms, failed operations, and the pairs B won;
-exits 1 when an operation failed.
+of the seed-1 plan with `bench/worker.py`'s `Workload.run_round` (operations
+through `bench/inproc.py`, timed by `bench/opcontext.py`), after one untimed
+warm-up round.  Batches alternate A-B, B-A, ..., so host drift falls on both
+sides alike.  Prints each side's round median and minimum, op_p50 and per-kind
+medians in ms, failed operations, and the pairs B won; exits 1 when an
+operation failed (its traceback is on stderr).
 """
 
 from __future__ import annotations
@@ -21,28 +22,17 @@ import sys
 from statistics import median
 
 
-def worker(checkout: str, workload: str, seed: int) -> None:
+def worker(checkout: str, workload: str) -> None:
     """For each line K on stdin, run rounds 0..K-1; print their (kind, s, ok) as JSON."""
     sys.path[:0] = [os.path.join(checkout, d) for d in ("src", "bench")]
-    import inproc
-    import plans
-    from opcontext import OpContext
-    from worker import op_kind
+    from worker import Workload
 
-    def run(r):
-        state, out = {}, []
-        for spec in plans.round_ops(workload, seed, r):
-            ctx = OpContext()
-            try:
-                ok = inproc.OPS[spec["op"]](spec, ctx, state)
-            except Exception:
-                ok = False
-            out.append((op_kind(spec), ctx.busy_s, bool(ok)))
-        return out
-
-    run(0)
+    w = Workload(argparse.Namespace(workload=workload, seed=1, tiny=False))
+    w.run_round(0, None)
     for line in sys.stdin:
-        print(json.dumps([run(r) for r in range(int(line))]), flush=True)
+        rounds = [w.run_round(r, None) for r in range(int(line))]
+        print(json.dumps([[(rec["kind"], rec["s"], rec["ok"]) for rec in recs]
+                          for recs in rounds]), flush=True)
 
 
 def main() -> int:
@@ -52,11 +42,10 @@ def main() -> int:
                     choices=("catalog-sweep", "orbit-transport", "characteristics"))
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
-    procs = [subprocess.Popen([sys.executable, __file__, "--worker", c, args.workload,
-                               str(args.seed)], cwd=c, env=env, text=True,
+    procs = [subprocess.Popen([sys.executable, __file__, "--worker", c, args.workload],
+                              cwd=c, env=env, text=True,
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE)
              for c in map(os.path.abspath, args.checkouts)]
     ops, walls, wins = ([], []), ([], []), 0
@@ -87,6 +76,6 @@ def main() -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
-        worker(*sys.argv[2:4], int(sys.argv[4]))
+        worker(*sys.argv[2:4])
     else:
         sys.exit(main())
