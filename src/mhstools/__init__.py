@@ -13,7 +13,6 @@ setting.
 from .beltrami import (
     AdmissibleChart,
     BeltramiRecord,
-    ConstructionError,
     HarmonicPair,
     beltrami_residual,
     catalog as beltrami_catalog,
@@ -34,7 +33,6 @@ from .clebsch import (
     make_clebsch_family,
 )
 from .composite import (
-    AssemblyError,
     CompositeReport,
     PiecewiseField,
     assemble,
@@ -67,7 +65,6 @@ from .fields import (
 from .gradshafranov import (
     GGSData,
     GSProblem,
-    SingularGradientError,
     SymmetricChart,
     example_decomposition,
     ggse_check,
@@ -76,14 +73,13 @@ from .gradshafranov import (
     gs_residual,
 )
 from .lieops import (
-    HypothesisError,
     LieOrbit,
     commutator_defect,
     h_symmetry_check,
     lie_generate,
 )
-from .parsing import ExpressionError, parse_scalar, parse_univariate
-from .reports import CheckStats, ResidualReport
+from .parsing import parse_scalar, parse_univariate
+from .reports import CheckStats, ConstructionError, ResidualReport
 from .symmetry import (
     KillingParams,
     KillingReport,

@@ -31,20 +31,12 @@ from .fields import (
     y,
     z,
 )
-from .reports import ResidualReport
+from .reports import ConstructionError, ResidualReport
 
 # Construction-time gates.
 BELTRAMI_TOL = 1e-8
 DIVERGENCE_TOL = 1e-8
 HARMONIC_TOL = 1e-9
-
-
-class ConstructionError(ValueError):
-    """A constructed field failed its own verification; carries the report."""
-
-    def __init__(self, message: str, report: ResidualReport | None = None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -292,10 +284,8 @@ CATALOG_NAMES = tuple(_BUILDERS)
 
 def catalog(name: str) -> BeltramiRecord:
     """Return a named catalog entry (field, coefficient, natural domain)."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise KeyError(
+    if name not in _BUILDERS:
+        raise ValueError(
             f"unknown catalog entry {name!r}; choose from {', '.join(CATALOG_NAMES)}"
-        ) from None
-    return builder()
+        )
+    return _BUILDERS[name]()

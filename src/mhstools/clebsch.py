@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields as F
-from .beltrami import ConstructionError
 from .checks import residual_report
 from .domains import DEFAULT_SAMPLES, Domain, SampleSet, sample
 from .fields import (
@@ -34,7 +33,7 @@ from .fields import (
     y,
     z,
 )
-from .reports import ResidualReport
+from .reports import ConstructionError, ResidualReport
 
 FORCE_TOL = 1e-8
 DIV_TOL = 1e-9
@@ -176,10 +175,8 @@ CATALOG_NAMES = tuple(_BUILDERS)
 
 def catalog(name: str) -> ClebschSolution:
     """Return a named finite-pressure catalog entry."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise KeyError(
+    if name not in _BUILDERS:
+        raise ValueError(
             f"unknown catalog entry {name!r}; choose from {', '.join(CATALOG_NAMES)}"
-        ) from None
-    return builder()
+        )
+    return _BUILDERS[name]()

@@ -7,7 +7,8 @@ versioned JSON (schema "v1", sorted keys, every non-finite number as null)
 under `--format json`, or to `--out` unless the text is export's CSV;
 otherwise it writes the text lines, to `--out` or to stdout.  Identical
 configurations produce byte-identical output.  Exit codes: 0 all gates pass,
-1 gate failure (the document's "passed" is false), 2 usage or parse error.
+1 gate failure (the document's "passed" is false), 2 input rejected, or a
+precondition failed its sampled check (`ValueError`, `ConstructionError`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .fields import log as flog, sin as fsin
 from .gradshafranov import example_decomposition, ggse_check, gs_problem_from_plane, gs_residual
 from .lieops import lie_generate
 from .parsing import parse_scalar, parse_univariate
+from .reports import ConstructionError
 from .composite import assemble, verify_composite
 from .symmetry import (
     CANONICAL_GENERATORS,
@@ -51,10 +53,6 @@ PRESSURE_GATES = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_domain(spec: str) -> Domain:
     try:
         kind, _, rest = spec.partition(":")
@@ -68,8 +66,8 @@ def _parse_domain(spec: str) -> Domain:
         if kind == "cshell" and len(vals) == 4:
             return Domain.cylindrical_shell(vals[0], vals[1], vals[2], vals[3])
     except ValueError as e:
-        raise UsageError(f"bad domain spec {spec!r}: {e}") from None
-    raise UsageError(
+        raise ValueError(f"bad domain spec {spec!r}: {e}") from None
+    raise ValueError(
         f"bad domain spec {spec!r}; use box:x0,x1,y0,y1,z0,z1 | ball:cx,cy,cz,r "
         f"| sshell:cx,cy,cz,rin,rout | cshell:rin,rout,zmin,zmax"
     )
@@ -92,7 +90,7 @@ def _parse_generator(spec: str) -> KillingParams:
         b = tuple(float(v) for v in bpart.split(","))
         return KillingParams(a, b)
     except (ValueError, TypeError):
-        raise UsageError(
+        raise ValueError(
             f"bad generator {spec!r}; use one of {', '.join(named)} or ax,ay,az;bx,by,bz"
         ) from None
 
@@ -139,14 +137,14 @@ def _report_lines(rep) -> list[str]:
 def cmd_catalog(args) -> tuple[dict, list[str]]:
     if args.rest and args.rest[0] == "show":
         if len(args.rest) != 2:
-            raise UsageError("usage: catalog show NAME")
+            raise ValueError("usage: catalog show NAME")
         entry = registry.get(args.rest[1])
         e = entry.to_dict()
         text = [f"{entry.name} ({entry.kind})"]
         text += [f"  {k}: {e[k]}" for k in sorted(e) if k != "name"]
         return {"entry": e}, text
     if args.rest:
-        raise UsageError("usage: catalog [show NAME]")
+        raise ValueError("usage: catalog [show NAME]")
     entries = [registry.get(n).to_dict() for n in registry.names()]
     text = [f"{'name':12s} {'kind':9s} {'coefficient/pressure':28s} domain"]
     for e in entries:
@@ -158,7 +156,7 @@ def cmd_catalog(args) -> tuple[dict, list[str]]:
 def cmd_verify(args) -> tuple[dict, list[str]]:
     entry = registry.get(args.name)
     if args.h and entry.kind != "beltrami":
-        raise UsageError("--h applies to curl-eigenfield entries")
+        raise ValueError("--h applies to curl-eigenfield entries")
     samples = _samples(args, entry.domain)
     if entry.kind == "beltrami":
         h = parse_scalar(args.h) if args.h else entry.h
@@ -202,7 +200,7 @@ def cmd_symmetry(args) -> tuple[dict, list[str]]:
 def cmd_orbit(args) -> tuple[dict, list[str]]:
     entry = registry.get(args.name)
     if entry.kind != "beltrami":
-        raise UsageError("orbit generation needs a curl-eigenfield catalog entry")
+        raise ValueError("orbit generation needs a curl-eigenfield catalog entry")
     gen = _parse_generator(args.gen)
     orbit = lie_generate(entry.record, gen, args.n, samples=_samples(args, entry.domain))
     doc = {
@@ -338,10 +336,10 @@ def cmd_characteristics(args) -> tuple[dict, list[str]]:
                 name, p=fsin(S) + T, g=-fsin(T), n_targets=args.samples,
                 tol=_CHAR_TOL, seed=args.seed,
             )
-        except beltrami.ConstructionError as e:
+        except ConstructionError as e:
             result["error"], text, passed = str(e), [f"error: {e}"], False
     else:
-        raise UsageError(
+        raise ValueError(
             "characteristics supports w4_1, w4_2 (psi) and abc_minimal, cylindrical (alpha)"
         )
     doc = {
@@ -460,9 +458,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         doc, text = args.fn(args)
-    except (UsageError, KeyError, ValueError) as e:
-        msg = e.args[0] if e.args else str(e)
-        print(f"error: {msg}", file=sys.stderr)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     doc = {"schema": SCHEMA, "command": args.command, **doc}
     code = 0

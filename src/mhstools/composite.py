@@ -20,7 +20,7 @@ from .checks import force_balance_residual
 from .clebsch import ClebschSolution
 from .domains import Domain, fibonacci_sphere, sample
 from .fields import VectorField
-from .reports import ResidualReport
+from .reports import ConstructionError, ResidualReport
 from .symmetry import KillingReport, killing_scan
 
 AMBIENT_RADIUS = 1.0
@@ -69,10 +69,6 @@ class PiecewiseField:
         return np.where(r < self.interface_radius, "core", "shell")
 
 
-class AssemblyError(ValueError):
-    pass
-
-
 def assemble(
     core: ClebschSolution | BeltramiRecord,
     shell_field: BeltramiRecord,
@@ -87,11 +83,11 @@ def assemble(
     field is singular somewhere on the shell region (probed on a sample).
     """
     if not 0 < eps < AMBIENT_RADIUS:
-        raise AssemblyError("interface radius must satisfy 0 < eps < ambient radius")
+        raise ValueError("interface radius must satisfy 0 < eps < ambient radius")
     ball = Domain.ball((0.0, 0.0, 0.0), eps)
     probe = sample(ball, N_PROBE)
     if not core.domain.contains(probe.points).all():
-        raise AssemblyError("core solution's domain does not contain the interface ball")
+        raise ConstructionError("core solution's domain does not contain the interface ball")
 
     shell_region = Domain.spherical_shell((0.0, 0.0, 0.0), eps, AMBIENT_RADIUS)
     shell_probe = sample(shell_region, N_PROBE)
@@ -99,7 +95,7 @@ def assemble(
     vals = shell_field.field.values(shell_probe.points)
     finite = np.isfinite(vals).all(axis=1)
     if not finite.all() or not declared.all():
-        raise AssemblyError(
+        raise ConstructionError(
             f"shell field invalid on {int((~(declared & finite)).sum())} of "
             f"{N_PROBE} shell probe points (singular set inside the shell?)"
         )

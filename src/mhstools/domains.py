@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_SAMPLES = 1000  # points a check draws when its caller passes no sample set
+SHAPES = ("box", "ball", "spherical_shell", "cylindrical_shell")
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,10 @@ class Domain:
     r_outer: float = 0.0
     z_min: float = 0.0
     z_max: float = 0.0
+
+    def __post_init__(self):
+        if self.shape not in SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}")
 
     # constructors ----------------------------------------------------------
 
@@ -75,13 +80,11 @@ class Domain:
         if self.shape in ("ball", "spherical_shell"):
             c = np.asarray(self.center)
             return c - self.r_outer, c + self.r_outer
-        if self.shape == "cylindrical_shell":
-            r = self.r_outer
-            return (
-                np.array([-r, -r, self.z_min]),
-                np.array([r, r, self.z_max]),
-            )
-        raise ValueError(f"unknown shape {self.shape!r}")
+        r = self.r_outer
+        return (
+            np.array([-r, -r, self.z_min]),
+            np.array([r, r, self.z_max]),
+        )
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -95,7 +98,7 @@ class Domain:
         elif self.shape == "spherical_shell":
             d = np.linalg.norm(pts - np.asarray(self.center), axis=1)
             ok = (d >= self.r_inner) & (d <= self.r_outer)
-        elif self.shape == "cylindrical_shell":
+        else:
             r = np.hypot(pts[:, 0], pts[:, 1])
             ok = (
                 (r >= self.r_inner)
@@ -103,8 +106,6 @@ class Domain:
                 & (pts[:, 2] >= self.z_min)
                 & (pts[:, 2] <= self.z_max)
             )
-        else:
-            raise ValueError(f"unknown shape {self.shape!r}")
         return ok
 
     def volume(self) -> float:
@@ -116,9 +117,7 @@ class Domain:
             return 4.0 / 3.0 * np.pi * self.r_outer**3
         if self.shape == "spherical_shell":
             return 4.0 / 3.0 * np.pi * (self.r_outer**3 - self.r_inner**3)
-        if self.shape == "cylindrical_shell":
-            return np.pi * (self.r_outer**2 - self.r_inner**2) * (self.z_max - self.z_min)
-        raise ValueError(f"unknown shape {self.shape!r}")
+        return np.pi * (self.r_outer**2 - self.r_inner**2) * (self.z_max - self.z_min)
 
     def to_dict(self):
         d = {"shape": self.shape}

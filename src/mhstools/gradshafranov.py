@@ -47,14 +47,10 @@ from .fields import (
     y,
     z,
 )
-from .reports import ResidualReport
+from .reports import ConstructionError, ResidualReport
 
 SYMMETRY_TOL = 1e-9
 SINGULAR_TOL = 1e-10  # |grad Theta| below which a sample is singular for ggse_check
-
-
-class SingularGradientError(ValueError):
-    """The flux-function gradient vanishes on the sampled region."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ class GSProblem:
         drift = Dot(self.chart.axis_tangent, Gradient(self.theta))
         st, _ = scalar_abs_stats(drift, samples)
         if not (st.max < SYMMETRY_TOL):
-            raise ValueError(
+            raise ConstructionError(
                 f"flux function varies along the ignorable direction (max {st.max:.3e})"
             )
 
@@ -206,7 +202,7 @@ def ggse_check(data: GGSData, samples: SampleSet) -> ResidualReport:
     Channels: the normalization Psi_1 Theta_2 - Psi_2 Theta_1 - 1, the
     projected balance LHS - 1, the curl identity |curl w - grad Psi x grad
     Theta|, and the reconstruction gap |w - (Psi grad Theta + grad Phi)|
-    when Phi is supplied.  Refuses (raises SingularGradientError) when the
+    when Phi is supplied.  Refuses (raises ConstructionError) when the
     flux gradient vanishes on most of the sample set, as happens for
     constant-pressure fields.
     """
@@ -215,7 +211,7 @@ def ggse_check(data: GGSData, samples: SampleSet) -> ResidualReport:
     n2, _ = evaluate(norm2, samples.points)
     singular = ~np.isfinite(n2) | (n2 < SINGULAR_TOL**2)
     if singular.mean() > 0.5:
-        raise SingularGradientError(
+        raise ConstructionError(
             "grad Theta vanishes on the sampled region; the generalized "
             "reduction does not apply (constant-pressure field?)"
         )
@@ -251,7 +247,7 @@ def example_decomposition(name: str) -> tuple[GGSData, Domain]:
     potential Phi integrates w - Psi grad Theta in closed form.
     """
     if name != "w4_1":
-        raise KeyError(f"no built-in decomposition for {name!r}")
+        raise ValueError(f"no built-in decomposition for {name!r}")
     sol = clebsch.catalog("w4_1")
     x1 = exp(-z)
     x2 = x

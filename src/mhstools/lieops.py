@@ -24,7 +24,7 @@ from .beltrami import BeltramiRecord, beltrami_residual
 from .checks import residual_report, scalar_abs_stats, vector_norm_stats
 from .domains import SampleSet, sample
 from .fields import Curl, Divergence, Dot, Gradient, ScalarField, VectorField, evaluate
-from .reports import ResidualReport
+from .reports import ConstructionError, ResidualReport
 from .symmetry import KillingParams, lie_euclidean
 
 MAX_ORBIT_DEPTH = 4
@@ -32,10 +32,6 @@ TERMINAL_NULL_REL = 1e-12
 H_SYMMETRY_TOL = 1e-9
 # residual gate of every orbit member: derivatives are exact at every depth
 MEMBER_GATE = 1e-8
-
-
-class HypothesisError(ValueError):
-    """The transported coefficient is not symmetric under the generator."""
 
 
 def commutator_defect(
@@ -123,9 +119,10 @@ def lie_generate(
 
     hk = h_symmetry_check(base.h, k, samples)
     if not hk.passes({"h_symmetry": H_SYMMETRY_TOL}):
-        raise HypothesisError(
+        raise ConstructionError(
             f"generator does not preserve the coefficient: "
-            f"|xi . grad h| max = {hk.max('h_symmetry'):.3e}"
+            f"|xi . grad h| max = {hk.max('h_symmetry'):.3e}",
+            hk,
         )
 
     chain = [base.field]

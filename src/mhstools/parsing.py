@@ -16,10 +16,6 @@ from . import fields
 from .fields import Placeholder, ScalarField, as_scalar
 
 
-class ExpressionError(ValueError):
-    """Malformed or disallowed inline expression."""
-
-
 _FUNCS = {
     "exp": (fields.exp, 1),
     "log": (fields.log, 1),
@@ -39,12 +35,12 @@ _BASE_VARS = {
 def parse_scalar(text: str, extra_vars: tuple[str, ...] = ()) -> ScalarField:
     """Parse an inline expression into a scalar field tree."""
     if not isinstance(text, str) or not text.strip():
-        raise ExpressionError("empty expression")
+        raise ValueError("empty expression")
     src = text.replace("^", "**")
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as e:
-        raise ExpressionError(f"cannot parse {text!r}: {e.msg}") from None
+        raise ValueError(f"cannot parse {text!r}: {e.msg}") from None
 
     names = dict(_BASE_VARS)
     names["r"] = fields.sqrt(fields.X**2 + fields.Y**2)
@@ -57,27 +53,27 @@ def parse_scalar(text: str, extra_vars: tuple[str, ...] = ()) -> ScalarField:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
                 return as_scalar(float(node.value))
-            raise ExpressionError(f"literal {node.value!r} not allowed")
+            raise ValueError(f"literal {node.value!r} not allowed")
         if isinstance(node, ast.Name):
             if node.id in names:
                 return names[node.id]
-            raise ExpressionError(f"unknown variable {node.id!r}")
+            raise ValueError(f"unknown variable {node.id!r}")
         if isinstance(node, ast.UnaryOp):
             operand = build(node.operand)
             if isinstance(node.op, ast.USub):
                 return -operand
             if isinstance(node.op, ast.UAdd):
                 return operand
-            raise ExpressionError("unsupported unary operator")
+            raise ValueError("unsupported unary operator")
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Pow):
                 base = build(node.left)
                 if not isinstance(node.right, (ast.Constant, ast.UnaryOp)):
-                    raise ExpressionError("exponent must be a numeric literal")
+                    raise ValueError("exponent must be a numeric literal")
                 try:
                     e = ast.literal_eval(node.right)
                 except ValueError:
-                    raise ExpressionError("exponent must be a numeric literal") from None
+                    raise ValueError("exponent must be a numeric literal") from None
                 return base ** float(e)
             a, b = build(node.left), build(node.right)
             if isinstance(node.op, ast.Add):
@@ -88,18 +84,18 @@ def parse_scalar(text: str, extra_vars: tuple[str, ...] = ()) -> ScalarField:
                 return a * b
             if isinstance(node.op, ast.Div):
                 return a / b
-            raise ExpressionError("unsupported binary operator")
+            raise ValueError("unsupported binary operator")
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.keywords:
-                raise ExpressionError("only plain function calls are allowed")
+                raise ValueError("only plain function calls are allowed")
             fname = node.func.id
             if fname not in _FUNCS:
-                raise ExpressionError(f"unknown function {fname!r}")
+                raise ValueError(f"unknown function {fname!r}")
             fn, arity = _FUNCS[fname]
             if len(node.args) != arity:
-                raise ExpressionError(f"{fname} takes {arity} argument(s)")
+                raise ValueError(f"{fname} takes {arity} argument(s)")
             return fn(*(build(a) for a in node.args))
-        raise ExpressionError(f"disallowed syntax: {ast.dump(node)}")
+        raise ValueError(f"disallowed syntax: {ast.dump(node)}")
 
     return build(tree)
 

@@ -67,4 +67,4 @@ def get(name: str) -> FieldEntry:
             solution=sol,
             provenance=prov,
         )
-    raise KeyError(f"unknown field {name!r}; available: {', '.join(names())}")
+    raise ValueError(f"unknown field {name!r}; available: {', '.join(names())}")

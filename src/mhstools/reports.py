@@ -1,4 +1,5 @@
-"""Residual report containers shared by all verification routines."""
+"""Residual report containers shared by all verification routines, and the
+one error a failed sampled check raises."""
 
 from __future__ import annotations
 
@@ -78,3 +79,11 @@ class ResidualReport:
         if self.notes:
             d["notes"] = self.notes
         return d
+
+
+class ConstructionError(ValueError):
+    """A construction or hypothesis failed its sampled check; carries its report, if any."""
+
+    def __init__(self, message: str, report: ResidualReport | None = None):
+        super().__init__(message)
+        self.report = report

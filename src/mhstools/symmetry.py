@@ -19,7 +19,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields as F
-from .beltrami import ConstructionError
 from .characteristics import (
     CharacteristicsProblem,
     InitialCurve,
@@ -47,7 +46,7 @@ from .fields import (
     y,
     z,
 )
-from .reports import ResidualReport
+from .reports import ConstructionError, ResidualReport
 
 DEFAULT_THRESHOLD = 1e-6
 
@@ -278,7 +277,7 @@ def example_symmetry(
         # h = 2z on the z > 0 branch of the angle t = z^2
         xi = F.VScale(2.0 * z, F.VScale(alpha, d_ell) + F.VScale(beta, d_m))
     else:
-        raise KeyError(f"no local-symmetry construction for {name!r}")
+        raise ValueError(f"no local-symmetry construction for {name!r}")
     return xi
 
 
@@ -332,7 +331,7 @@ def alpha_from_characteristics(
             - gp / cos(z)
         )
     else:
-        raise KeyError(f"no alpha construction for {example!r}")
+        raise ValueError(f"no alpha construction for {example!r}")
 
     targets = sample(domain, n_targets, seed=seed)
     pts = targets.points

@@ -166,5 +166,6 @@ def test_beltrami_residual_detects_wrong_coefficient():
 
 
 def test_catalog_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown catalog entry 'nope'") as ei:
         catalog("nope")
+    assert type(ei.value) is ValueError

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 import mhstools
-from mhstools import beltrami, clebsch
 from mhstools.clebsch import (
     CATALOG_NAMES,
     FAMILY_PARAMS,
-    ConstructionError,
     catalog,
     make_clebsch,
     make_clebsch_family,
 )
 from mhstools.domains import Domain, sample
 from mhstools.fields import Gradient, cross, curl, log, y, z
+from mhstools.reports import ConstructionError
 
 OFFSET_BOX = Domain.box((-1.0, 0.5, 0.5), (1.0, 1.5, 1.5))
 
@@ -81,7 +80,7 @@ class TestConstructor:
         assert ei.value.report is not None
 
     def test_package_error_catches_construction_failure(self):
-        assert clebsch.ConstructionError is beltrami.ConstructionError
+        assert mhstools.ConstructionError is ConstructionError
         with pytest.raises(mhstools.ConstructionError):
             make_clebsch(z**2, -z, OFFSET_BOX)
 

@@ -230,6 +230,11 @@ class TestGs:
         rc, _, err = run(capsys, "gs", "--chart", "translational", "--theta", "x +")
         assert rc == 2
 
+    def test_theta_along_the_ignorable_direction(self, capsys):
+        rc, out, err = run(capsys, "gs", "--chart", "translational", "--theta", "x*z")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: flux function varies along the ignorable direction (max ")
+
 
 class TestGgse:
     def test_derived_decomposition(self, capsys):
@@ -355,7 +360,7 @@ class TestCharacteristics:
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_alpha_failure_is_reported_in_the_output(self, capsys, monkeypatch, fmt):
         from mhstools import cli
-        from mhstools.beltrami import ConstructionError
+        from mhstools.reports import ConstructionError
 
         def fail(*args, **kwargs):
             raise ConstructionError("transport missed the gate")
@@ -405,6 +410,18 @@ class TestDeterminism:
 def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_a_key_error_is_a_bug_not_a_usage_error(capsys, monkeypatch):
+    from mhstools import cli
+
+    def boom(args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "cmd_catalog", boom)
+    with pytest.raises(KeyError, match="missing"):
+        main(["catalog"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,12 @@ import pytest
 
 from mhstools import beltrami, clebsch
 from mhstools.composite import (
-    AssemblyError,
     assemble,
     l2_monte_carlo,
     verify_composite,
 )
 from mhstools.domains import sample
+from mhstools.reports import ConstructionError
 
 
 @pytest.fixture(scope="module")
@@ -43,21 +43,21 @@ class TestAssemble:
     def test_interface_must_fit(self):
         core = clebsch.catalog("w4_1")
         shell = beltrami.catalog("exp_x3")
-        with pytest.raises(AssemblyError):
-            assemble(core, shell, eps=1.2)
-        with pytest.raises(AssemblyError):
-            assemble(core, shell, eps=0.0)
+        for eps in (1.2, 0.0):
+            with pytest.raises(ValueError, match="interface radius") as ei:
+                assemble(core, shell, eps=eps)
+            assert type(ei.value) is ValueError
 
     def test_core_domain_must_cover_ball(self):
         core = clebsch.catalog("w4_2")  # offset box, excludes the origin ball
         shell = beltrami.catalog("exp_x3")
-        with pytest.raises(AssemblyError):
+        with pytest.raises(ConstructionError, match="does not contain the interface ball"):
             assemble(core, shell, eps=0.4)
 
     def test_singular_shell_rejected(self):
         core = clebsch.catalog("w4_1")
         shell = beltrami.catalog("cylindrical")  # singular on the z-axis
-        with pytest.raises(AssemblyError) as ei:
+        with pytest.raises(ConstructionError) as ei:
             assemble(core, shell, eps=0.4)
         assert "shell" in str(ei.value)
 

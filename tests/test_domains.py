@@ -37,6 +37,10 @@ class TestDomains:
         with pytest.raises(ValueError):
             Domain.cylindrical_shell(1.5, 0.5, 0, 1)
 
+    def test_unknown_shape_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown shape 'torus'"):
+            Domain("torus")
+
     def test_to_dict_round_trip_fields(self):
         d = Domain.cylindrical_shell(0.5, 1.5, -1.0, 1.0)
         dd = d.to_dict()

@@ -1,12 +1,17 @@
 """Source hygiene: unused and function-local imports, one order-0 evaluation
-path, the README example.
+path, the error model, the README example.
 
 Every name a module of the package imports is used in that module;
 `__init__.py` is exempt, its imports are the public re-exports.  Every import
 sits at module level: no import cycle in the package needs one deferred.
+The package has one error type per kind of failure: `ValueError` for input
+that is malformed, out of range or names nothing, `ConstructionError` for a
+sampled check that failed, `EvaluationError` for a field that cannot be
+evaluated.
 """
 
 import ast
+import builtins
 import os
 import re
 import subprocess
@@ -14,6 +19,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mhstools import clebsch, registry, symmetry
+from mhstools.fields import x
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mhstools"
@@ -88,6 +96,49 @@ def test_only_fields_builds_an_eval_context(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if _builds_eval_context(node)]
     assert not lines, f"{path.name} builds an EvalContext on lines {lines}; call fields.evaluate"
+
+
+def _is_exception_base(base: ast.expr) -> bool:
+    name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+    builtin = getattr(builtins, name, None)
+    return name.endswith(("Error", "Exception")) or (
+        isinstance(builtin, type) and issubclass(builtin, BaseException))
+
+
+def test_the_package_defines_two_exception_classes():
+    defined = sorted(
+        (path.name, node.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and any(map(_is_exception_base, node.bases))
+    )
+    assert defined == [("fields.py", "EvaluationError"), ("reports.py", "ConstructionError")]
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_raises_key_error(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and _raised_name(node) == "KeyError"]
+    assert not lines, f"{path.name} raises KeyError on lines {lines}; raise ValueError"
+
+
+# beltrami.catalog, alpha_from_characteristics and example_decomposition are
+# checked in their own modules' tests
+@pytest.mark.parametrize("lookup", [
+    lambda: registry.get("nope"),
+    lambda: clebsch.catalog("nope"),
+    lambda: symmetry.example_symmetry("nope", p=x, g=x),
+], ids=["registry", "clebsch", "example_symmetry"])
+def test_an_unknown_name_is_a_value_error(lookup):
+    with pytest.raises(ValueError, match="'nope'") as ei:
+        lookup()
+    assert type(ei.value) is ValueError
 
 
 def test_readme_library_example_runs():

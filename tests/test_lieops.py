@@ -8,11 +8,12 @@ from mhstools import beltrami, lieops
 from mhstools.domains import Domain, sample
 from mhstools.fields import cos, curl, exp, sin, vector, x, y, z
 from mhstools.lieops import (
-    HypothesisError,
+    H_SYMMETRY_TOL,
     commutator_defect,
     h_symmetry_check,
     lie_generate,
 )
+from mhstools.reports import ConstructionError
 from mhstools.symmetry import KillingParams, killing_scan, lie_euclidean
 
 BALL = Domain.ball((0.0, 0.0, 0.0), 1.0)
@@ -179,8 +180,9 @@ class TestOrbits:
 
     def test_hypothesis_failure_raises(self):
         rec = beltrami.catalog("zsq_x3")
-        with pytest.raises(HypothesisError):
+        with pytest.raises(ConstructionError, match="does not preserve the coefficient") as ei:
             lie_generate(rec, KillingParams((0, 0, 1), (0, 0, 0)), 1)
+        assert ei.value.report.max("h_symmetry") > H_SYMMETRY_TOL
 
     def test_depth_cap(self):
         rec = beltrami.catalog("zsq_x3")

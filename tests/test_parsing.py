@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhstools.fields import substitute, z
-from mhstools.parsing import ExpressionError, parse_scalar, parse_univariate
+from mhstools.parsing import parse_scalar, parse_univariate
 
 
 def test_arithmetic_and_caret_power():
@@ -65,8 +65,9 @@ def test_round_trip_through_render():
     ],
 )
 def test_rejects_malformed_or_disallowed(bad):
-    with pytest.raises(ExpressionError):
+    with pytest.raises(ValueError) as ei:
         parse_scalar(bad)
+    assert type(ei.value) is ValueError
 
 
 def test_unbound_placeholder_cannot_evaluate():

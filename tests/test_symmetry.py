@@ -384,5 +384,6 @@ class TestAlphaTransport:
         np.testing.assert_allclose(closed.values(ss.points), 2.5, atol=1e-12)
 
     def test_unknown_example_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="no alpha construction") as ei:
             alpha_from_characteristics("exp_x3", p=S, g=T)
+        assert type(ei.value) is ValueError

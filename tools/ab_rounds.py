@@ -2,14 +2,19 @@
 
     python tools/ab_rounds.py CHECKOUT_A CHECKOUT_B --workload orbit-transport --pairs 10 --rounds 5
 
-One persistent worker per checkout, with its `src/` and `bench/` on `sys.path`,
-`OPENBLAS_NUM_THREADS=1` and `PYTHONHASHSEED=0`, runs batches of rounds 0..K-1
-of the seed-1 plan with `bench/worker.py`'s `Workload.run_round` (operations
-through `bench/inproc.py`, timed by `bench/opcontext.py`), after one untimed
-warm-up round.  Batches alternate A-B, B-A, ..., so host drift falls on both
-sides alike.  Prints each side's round median and minimum, op_p50 and per-kind
-medians in ms, failed operations, and the pairs B won; exits 1 when an
-operation failed (its traceback is on stderr).
+A pair of workers, one per checkout, each with its `src/` and `bench/` on
+`sys.path`, `OPENBLAS_NUM_THREADS=1` and `PYTHONHASHSEED=0`, runs batches of
+rounds 0..K-1 of the seed-1 plan with `bench/worker.py`'s `Workload.run_round`
+(operations through `bench/inproc.py`, timed by `bench/opcontext.py`), after
+one untimed warm-up round.  Batches alternate A-B, B-A, ..., so host drift
+falls on both sides alike.  A fresh worker pair starts every
+PAIRS_PER_WORKERS pairs: one process can sit 10-20 % above another running
+the same code, so a single pair of processes cannot tell the checkouts apart.
+Prints each side's pooled round median and minimum, op_p50 and per-kind
+medians in ms, failed operations and the pairs B won, then the B/A ratio of
+round medians pooled, per worker pair, and the spread (max - min) of the
+per-pair ratios; exits 1 when an operation failed (its traceback is on
+stderr).
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import os
 import subprocess
 import sys
 from statistics import median
+
+PAIRS_PER_WORKERS = 5
 
 
 def worker(checkout: str, workload: str) -> None:
@@ -44,21 +51,25 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=5)
     args = ap.parse_args()
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
-    procs = [subprocess.Popen([sys.executable, __file__, "--worker", c, args.workload],
-                              cwd=c, env=env, text=True,
-                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-             for c in map(os.path.abspath, args.checkouts)]
-    ops, walls, wins = ([], []), ([], []), 0
-    for p in range(args.pairs):
-        for side in ((0, 1) if p % 2 == 0 else (1, 0)):
-            procs[side].stdin.write(f"{args.rounds}\n")
-            procs[side].stdin.flush()
-            rounds = json.loads(procs[side].stdout.readline())
-            ops[side].extend(op for r in rounds for op in r)
-            walls[side].extend(1e3 * sum(op[1] for op in r) for r in rounds)
-        wins += median(walls[1][-args.rounds:]) < median(walls[0][-args.rounds:])
-    for proc in procs:
-        proc.communicate()
+    checkouts = list(map(os.path.abspath, args.checkouts))
+    ops, walls, wins, ratios = ([], []), ([], []), 0, []
+    for first in range(0, args.pairs, PAIRS_PER_WORKERS):
+        procs = [subprocess.Popen([sys.executable, __file__, "--worker", c, args.workload],
+                                  cwd=c, env=env, text=True,
+                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                 for c in checkouts]
+        start = [len(w) for w in walls]
+        for p in range(first, min(first + PAIRS_PER_WORKERS, args.pairs)):
+            for side in ((0, 1) if p % 2 == 0 else (1, 0)):
+                procs[side].stdin.write(f"{args.rounds}\n")
+                procs[side].stdin.flush()
+                rounds = json.loads(procs[side].stdout.readline())
+                ops[side].extend(op for r in rounds for op in r)
+                walls[side].extend(1e3 * sum(op[1] for op in r) for r in rounds)
+            wins += median(walls[1][-args.rounds:]) < median(walls[0][-args.rounds:])
+        for proc in procs:
+            proc.communicate()
+        ratios.append(median(walls[1][start[1]:]) / median(walls[0][start[0]:]))
 
     def row(label, per_side):
         print(f"{label:16}" + "".join(f"{per_side(s):10.3f}" for s in (0, 1)))
@@ -71,6 +82,9 @@ def main() -> int:
         row(kind, lambda s: 1e3 * median(op[1] for op in ops[s] if op[0] == kind))
     print(f"{'failed ops':16}" + "".join(f"{sum(not op[2] for op in o):10d}" for o in ops))
     print(f"B won {wins} of {args.pairs} pairs")
+    print(f"B/A round median: pooled {median(walls[1]) / median(walls[0]):.3f}, "
+          f"per worker pair {' '.join(f'{r:.3f}' for r in ratios)}, "
+          f"spread {max(ratios) - min(ratios):.3f}")
     return int(any(not op[2] for o in ops for op in o))
 
 
