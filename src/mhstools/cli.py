@@ -33,6 +33,7 @@ from .reports import ConstructionError
 from .composite import assemble, verify_composite
 from .symmetry import (
     CANONICAL_GENERATORS,
+    DEFAULT_THRESHOLD,
     S,
     T,
     KillingParams,
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symmetry", help="rigid-symmetry scan")
     p.add_argument("name")
-    p.add_argument("--threshold", type=float, default=1e-6)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     _add_common(p)
     p.set_defaults(fn=cmd_symmetry)
 

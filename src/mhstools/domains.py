@@ -33,6 +33,9 @@ class Domain:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
+        if not np.isfinite([*self.lo, *self.hi, *self.center, self.r_inner, self.r_outer,
+                            self.z_min, self.z_max]).all():
+            raise ValueError("domain parameters must be finite")
 
     # constructors ----------------------------------------------------------
 

@@ -40,7 +40,7 @@ class EvaluationError(ValueError):
 
 
 class EvalContext:
-    """Per-evaluation record of invalid sample points.
+    """Record of the invalid sample points of one walk; every walk takes one.
 
     `memo`, when set, is a dict shared by the evaluations of one report, scan
     or orbit: each vector node keeps its component jets there, one entry per
@@ -135,7 +135,7 @@ class ScalarField(Field):
     precedence = 100
     values = Field.values  # an attribute of its own: bench/tracer.py wraps each base's
 
-    def jet(self, pts: np.ndarray, order: int = 2, ctx: EvalContext | None = None) -> Jet:
+    def jet(self, pts: np.ndarray, order: int, ctx: EvalContext) -> Jet:
         raise NotImplementedError
 
     def _wrap(self, prec: int) -> str:
@@ -187,8 +187,8 @@ def as_scalar(obj) -> ScalarField:
 class Const(ScalarField):
     c: float
 
-    def jet(self, pts, order=2, ctx=None):
-        return Jet.constant(np.asarray(self.c), n=pts.shape[0], order=order)
+    def jet(self, pts, order, ctx):
+        return Jet.constant(self.c, pts.shape[0], order)
 
     def render(self):
         return _num(self.c)
@@ -198,7 +198,7 @@ class Const(ScalarField):
 class Coord(ScalarField):
     axis: int
 
-    def jet(self, pts, order=2, ctx=None):
+    def jet(self, pts, order, ctx):
         return Jet.coordinate(pts, self.axis, order)
 
     def render(self):
@@ -211,7 +211,7 @@ class Placeholder(ScalarField):
 
     name: str
 
-    def jet(self, pts, order=2, ctx=None):
+    def jet(self, pts, order, ctx):
         raise EvaluationError(f"unbound variable {self.name!r}; substitute it first")
 
     def render(self):
@@ -223,7 +223,7 @@ class Neg(ScalarField):
     a: ScalarField
     precedence = 15
 
-    def jet(self, pts, order=2, ctx=None):
+    def jet(self, pts, order, ctx):
         return -self.a.jet(pts, order, ctx)
 
     def render(self):
@@ -236,11 +236,11 @@ class Pow(ScalarField):
     expo: float
     precedence = 30
 
-    def jet(self, pts, order=2, ctx=None):
+    def jet(self, pts, order, ctx):
         j = self.base.jet(pts, order, ctx)
         e = self.expo
         neg, frac = e < 0, e != int(e)
-        if ctx is not None and (neg or frac):
+        if neg or frac:
             # a fractional power fails below 0; at 0 blocks of degree above e are infinite
             ctx.flag(self, (j.value < 0.0) & frac, order)
             if order > e:
@@ -263,10 +263,10 @@ def _binary(name: str, fn, symbol: str, precedence: int, domain=None):
         a: ScalarField
         b: ScalarField
 
-        def jet(self, pts, order=2, ctx=None):
+        def jet(self, pts, order, ctx):
             ja = self.a.jet(pts, order, ctx)
             jb = self.b.jet(pts, order, ctx)
-            if ctx is not None and domain is not None:
+            if domain is not None:
                 ctx.flag(self, domain(jb.value), order)
             return fn(ja, jb)
 
@@ -292,11 +292,11 @@ def _unary(name: str, fn, domain=None, pole=False):
         def __post_init__(self):
             _as_scalars(self, "a")
 
-        def jet(self, pts, order=2, ctx=None):
+        def jet(self, pts, order, ctx):
             j = self.a.jet(pts, order, ctx)
-            if ctx is not None and domain is not None:
+            if domain is not None:
                 ctx.flag(self, domain(j.value), order)
-            if ctx is not None and pole and order >= 1:
+            if pole and order >= 1:
                 ctx.flag(self, j.value == 0.0, order, 1)
             return fn(j)
 
@@ -323,11 +323,10 @@ class Atan2(ScalarField):
     def __post_init__(self):
         _as_scalars(self, "ynode", "xnode")
 
-    def jet(self, pts, order=2, ctx=None):
+    def jet(self, pts, order, ctx):
         jy = self.ynode.jet(pts, order, ctx)
         jx = self.xnode.jet(pts, order, ctx)
-        if ctx is not None:
-            ctx.flag(self, (jy.value == 0.0) & (jx.value == 0.0), order)
+        ctx.flag(self, (jy.value == 0.0) & (jx.value == 0.0), order)
         return jatan2(jy, jx)
 
     def render(self):
@@ -341,7 +340,7 @@ class Dot(ScalarField):
     u: "VectorField"
     v: "VectorField"
 
-    def jet(self, pts, order=2, ctx=None):
+    def jet(self, pts, order, ctx):
         ju = self.u.jets(pts, order, ctx)
         jv = self.v.jets(pts, order, ctx)
         return ju[0] * jv[0] + ju[1] * jv[1] + ju[2] * jv[2]
@@ -355,7 +354,7 @@ class VComponent(ScalarField):
     w: "VectorField"
     axis: int
 
-    def jet(self, pts, order=2, ctx=None):
+    def jet(self, pts, order, ctx):
         return self.w.jets(pts, order, ctx)[self.axis]
 
     def render(self):
@@ -368,7 +367,7 @@ class Divergence(ScalarField):
 
     w: "VectorField"
 
-    def jet(self, pts, order=2, ctx=None):
+    def jet(self, pts, order, ctx):
         child = self.w.jets(pts, order + 1, ctx)
         return child[0].partial(0) + child[1].partial(1) + child[2].partial(2)
 
@@ -395,7 +394,7 @@ class Compose1(ScalarField):
         """`gexpr` over the first axis, built once per node."""
         return substitute(self.gexpr, {self.var: X})
 
-    def jet(self, pts, order=2, ctx=None):
+    def jet(self, pts, order, ctx):
         ju = self.inner.jet(pts, order, ctx)
         seeded = np.zeros((ju.value.shape[0], 3))
         seeded[:, 0] = ju.value
@@ -454,7 +453,7 @@ class VectorField(Field):
 
     values = Field.values  # an attribute of its own, as on ScalarField
 
-    def jets(self, pts: np.ndarray, order: int = 2, ctx: EvalContext | None = None):
+    def jets(self, pts: np.ndarray, order: int, ctx: EvalContext):
         """Component jets at (N, 3) points.
 
         Derivative blocks up to `order` (0: values, 1: +gradients,
@@ -467,7 +466,7 @@ class VectorField(Field):
         them; each reuse raises the subtree's flags that a walk at this order
         raises, so invalid masks and error counts are those of a fresh walk.
         """
-        memo = None if ctx is None else ctx.memo
+        memo = ctx.memo
         if memo is None:
             return self._jets(pts, order, ctx)
         key = (id(self), id(pts))
@@ -510,7 +509,7 @@ class FromComponents(VectorField):
     def __post_init__(self):
         _as_scalars(self, "fx", "fy", "fz")
 
-    def _jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order, ctx):
         return (
             self.fx.jet(pts, order, ctx),
             self.fy.jet(pts, order, ctx),
@@ -525,7 +524,7 @@ class FromComponents(VectorField):
 class Gradient(VectorField):
     f: ScalarField
 
-    def _jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order, ctx):
         j = self.f.jet(pts, order + 1, ctx)
         return j.partial(0), j.partial(1), j.partial(2)
 
@@ -537,7 +536,7 @@ class Gradient(VectorField):
 class Curl(VectorField):
     w: VectorField
 
-    def _jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order, ctx):
         j = self.w.jets(pts, order + 1, ctx)
         return (
             j[2].partial(1) - j[1].partial(2),
@@ -554,7 +553,7 @@ class Cross(VectorField):
     u: VectorField
     v: VectorField
 
-    def _jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order, ctx):
         a = self.u.jets(pts, order, ctx)
         b = self.v.jets(pts, order, ctx)
         return (
@@ -572,7 +571,7 @@ class VAdd(VectorField):
     u: VectorField
     v: VectorField
 
-    def _jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order, ctx):
         a = self.u.jets(pts, order, ctx)
         b = self.v.jets(pts, order, ctx)
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
@@ -589,7 +588,7 @@ class VScale(VectorField):
     def __post_init__(self):
         _as_scalars(self, "f")
 
-    def _jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order, ctx):
         jf = self.f.jet(pts, order, ctx)
         jw = self.w.jets(pts, order, ctx)
         return (jf * jw[0], jf * jw[1], jf * jw[2])
@@ -605,7 +604,7 @@ class Lie(VectorField):
     xi: VectorField
     w: VectorField
 
-    def _jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order, ctx):
         jx = self.xi.jets(pts, order + 1, ctx)
         jw = self.w.jets(pts, order + 1, ctx)
         out = []
@@ -634,7 +633,7 @@ class LieEuclidean(VectorField):
     b: tuple
     w: VectorField
 
-    def _jets(self, pts, order=2, ctx=None):
+    def _jets(self, pts, order, ctx):
         jw = self.w.jets(pts, order + 1, ctx)
         (a0, a1, a2), (b0, b1, b2) = self.a, self.b
         x, y, z = pts.T

@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
 
 import numpy as np
@@ -164,20 +164,16 @@ class Jet:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, value: np.ndarray, n: int | None = None, order: int = 2) -> "Jet":
-        v = np.asarray(value, dtype=float)
-        if v.ndim == 0:
-            if n is None:
-                raise ValueError("batch size required for scalar constant")
-            v, c = np.empty(n), float(v)
-            v.fill(c)
+    def constant(cls, c: float, n: int, order: int) -> "Jet":
+        v = np.empty(n)
+        v.fill(c)
         blocks = [v]
         for d in range(1, order + 1):
-            blocks.append(np.zeros((v.shape[0], (d + 1) * (d + 2) // 2)))
+            blocks.append(np.zeros((n, (d + 1) * (d + 2) // 2)))
         return cls(blocks)
 
     @classmethod
-    def coordinate(cls, pts: np.ndarray, axis: int, order: int = 2) -> "Jet":
+    def coordinate(cls, pts: np.ndarray, axis: int, order: int) -> "Jet":
         n = pts.shape[0]
         blocks = [pts[:, axis].astype(float, copy=True)]
         for d in range(1, order + 1):
@@ -221,34 +217,22 @@ class Jet:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            a, b = self.c, other.c
-            if len(a) == 1 or len(b) == 1:  # values only, the common case
-                return Jet([a[0] + b[0]])
-            return Jet(list(map(operator.add, a, b)))
-        return Jet([self.c[0] + other, *self.c[1:]])
-
-    __radd__ = __add__
+    def __add__(self, other: "Jet") -> "Jet":
+        a, b = self.c, other.c
+        if len(a) == 1 or len(b) == 1:  # values only, the common case
+            return Jet([a[0] + b[0]])
+        return Jet(list(map(operator.add, a, b)))
 
     def __neg__(self):
         return Jet(list(map(operator.neg, self.c)))
 
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            a, b = self.c, other.c
-            if len(a) == 1 or len(b) == 1:
-                return Jet([a[0] - b[0]])
-            return Jet(list(map(operator.sub, a, b)))
-        return Jet([self.c[0] - other, *self.c[1:]])
+    def __sub__(self, other: "Jet") -> "Jet":
+        a, b = self.c, other.c
+        if len(a) == 1 or len(b) == 1:
+            return Jet([a[0] - b[0]])
+        return Jet(list(map(operator.sub, a, b)))
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        # no comprehension here: names it captured would become cells on every call
-        if not isinstance(other, Jet):
-            return Jet(list(map(operator.mul, self.c, repeat(float(other)))))
+    def __mul__(self, other: "Jet") -> "Jet":
         a, b = self.c, other.c
         k = min(len(a), len(b)) - 1
         if k == 0:
@@ -256,15 +240,8 @@ class Jet:
         out = [a[0] * b[0], a[0][:, None] * b[1] + b[0][:, None] * a[1]]
         return Jet(out + _high_product(a, b, k) if k >= 2 else out)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return self * (1.0 / float(other))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
+    def __truediv__(self, other: "Jet") -> "Jet":
+        return self * other.reciprocal()
 
     def reciprocal(self) -> "Jet":
         v = self.c[0]
@@ -333,7 +310,7 @@ def jsqrt(j: Jet) -> Jet:
 def jpow(j: Jet, e: float) -> Jet:
     v = j.c[0]
     if e == 0:
-        return Jet.constant(np.ones_like(v), order=j.order)
+        return Jet.constant(1.0, v.shape[0], j.order)
     if e == 1:
         return Jet(list(j.c))
     if e == 2:

@@ -110,6 +110,12 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "w4_1", "--domain", "torus:1")
         assert rc == 2
 
+    def test_non_finite_domain(self, capsys):
+        rc, out, err = run(capsys, "verify", "w4_1", "--domain", "box:0,inf,0,1,0,1",
+                           "--samples", "20")
+        assert (rc, out) == (2, "")
+        assert err == "error: bad domain spec 'box:0,inf,0,1,0,1': domain parameters must be finite\n"
+
     def test_domain_too_thin_to_sample(self, capsys):
         rc, out, err = run(capsys, "verify", "w4_1", "--domain", "sshell:0,0,0,0.9999999,1")
         assert rc == 2

@@ -36,6 +36,21 @@ class TestDomains:
             Domain.ball((0, 0, 0), -1.0)
         with pytest.raises(ValueError):
             Domain.cylindrical_shell(1.5, 0.5, 0, 1)
+        inf, nan = float("inf"), float("nan")
+        for build, *args in [
+            (Domain.box, (0, 0, 0), (inf, 1, 1)),
+            (Domain.box, (-inf, 0, 0), (1, 1, 1)),
+            (Domain.box, (0, nan, 0), (1, 1, 1)),
+            (Domain.ball, (0, 0, 0), inf),
+            (Domain.ball, (0, 0, 0), nan),
+            (Domain.ball, (nan, 0, 0), 1.0),
+            (Domain.spherical_shell, (0, 0, 0), 0.5, inf),
+            (Domain.spherical_shell, (0, 0, inf), 0.5, 1.0),
+            (Domain.cylindrical_shell, 0.5, 1.5, -inf, 1.0),
+            (Domain.cylindrical_shell, 0.5, nan, 0, 1),
+        ]:
+            with pytest.raises(ValueError):
+                build(*args)
 
     def test_unknown_shape_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown shape 'torus'"):

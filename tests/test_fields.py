@@ -43,19 +43,19 @@ BALL = Domain.ball((0.0, 0.0, 0.0), 1.0)
 
 class TestEvalJet:
     def test_polynomial(self):
-        j = (x**2 - y**2).jet(np.array([[1.0, 2.0, 0.0]]), 2)
+        j = (x**2 - y**2).jet(np.array([[1.0, 2.0, 0.0]]), 2, EvalContext(1))
         assert j.value[0] == pytest.approx(-3.0)
         np.testing.assert_allclose(j.grad[0], [2.0, -4.0, 0.0])
         np.testing.assert_allclose(np.diag(j.hessian()[0]), [2.0, -2.0, 0.0])
 
     def test_exp_sin(self):
-        j = (exp(x) * sin(y)).jet(np.zeros((1, 3)), 2)
+        j = (exp(x) * sin(y)).jet(np.zeros((1, 3)), 2, EvalContext(1))
         assert j.value[0] == pytest.approx(0.0)
         np.testing.assert_allclose(j.grad[0], [0.0, 1.0, 0.0])
 
     def test_exp_cos_hessian_vs_fd(self):
         f = exp(x) * cos(y)
-        j = f.jet(np.zeros((1, 3)), 2)
+        j = f.jet(np.zeros((1, 3)), 2, EvalContext(1))
         np.testing.assert_allclose(j.grad[0], [1.0, 0.0, 0.0], atol=1e-14)
         fd = fd_hessian(lambda p: f(p), np.zeros(3), h=1e-4)
         np.testing.assert_allclose(j.hessian()[0], fd, atol=1e-6)
@@ -400,3 +400,26 @@ class TestSubstitute:
         kids = [getattr(node, f.name) for f in dataclasses.fields(node)]
         assert all(isinstance(k, Const) for k in kids if not isinstance(k, Coord))
         assert node.render() == expected
+
+
+_U, _V = vector(x, y, 1.0), vector(z, 0.0, x)
+
+
+_RENDERED = [
+    (fields.Dot(_U, _V), "dot((x, y, 1), (z, 0, x))"),
+    (fields.VComponent(_U, 1), "(x, y, 1)[1]"),
+    (fields.Divergence(_U), "div((x, y, 1))"),
+    (fields.Gradient(x * y), "grad(x*y)"),
+    (fields.Curl(_U), "curl((x, y, 1))"),
+    (fields.Cross(_U, _V), "cross((x, y, 1), (z, 0, x))"),
+    (fields.VAdd(_U, _V), "(x, y, 1) + (z, 0, x)"),
+    (fields.VScale(x + 1.0, _U), "(x + 1)*(x, y, 1)"),
+    (fields.Lie(_V, _U), "lie((z, 0, x), (x, y, 1))"),
+    (fields.LieEuclidean((1, 0, 0.5), (0, 0, 1), _U),
+     "lie_euclidean(a=(1,0,0.5), b=(0,0,1), (x, y, 1))"),
+]
+
+
+@pytest.mark.parametrize("node,expected", _RENDERED, ids=[type(n).__name__ for n, _ in _RENDERED])
+def test_vector_consuming_nodes_render(node, expected):
+    assert node.render() == expected

@@ -22,7 +22,7 @@ from mhstools.symmetry import KillingParams
 
 def _seed(pts):
     pts = np.asarray(pts, dtype=float)
-    return [Jet.coordinate(pts, i) for i in range(3)]
+    return [Jet.coordinate(pts, i, 2) for i in range(3)]
 
 
 def test_coordinate_jets():
@@ -92,7 +92,7 @@ def test_chain_against_finite_differences(rng):
     # compound expression: exp(x) sin(y) / (1 + z^2)
     def build(pts):
         jx, jy, jz = _seed(pts)
-        return jexp(jx) * jsin(jy) / (jpow(jz, 2) + 1.0)
+        return jexp(jx) * jsin(jy) / (jpow(jz, 2) + Jet.constant(1.0, pts.shape[0], 2))
 
     def value(p):
         return float(np.exp(p[0]) * np.sin(p[1]) / (1 + p[2] ** 2))
@@ -114,6 +114,24 @@ def test_partial_extracts_derivative_jet():
     fx = f.partial(0)  # 2xy
     assert fx.value[0] == pytest.approx(2 * 0.4 * -0.2)
     np.testing.assert_allclose(fx.grad[0], [2 * -0.2, 2 * 0.4, 0.0])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_jets_do_not_combine_with_numbers(op):
+    # numbers enter a tree as `Const` nodes, so a jet has only jet operands
+    with pytest.raises(TypeError):
+        op(2.0, _seed(np.ones((1, 3)))[0])
+
+
+@pytest.mark.parametrize("f", [F.Const(2.0), F.x, F.log(F.x), F.grad(F.x * F.y),
+                               F.curl(F.vector(F.y, F.z, F.x))], ids=lambda f: type(f).__name__)
+def test_every_walk_takes_a_context(f):
+    # a walk records its failures in its context; there is no walk that drops them
+    walk = f.jet if isinstance(f, F.ScalarField) else f.jets
+    with pytest.raises(TypeError):
+        walk(np.ones((2, 3)), 1)
+    with pytest.raises(TypeError):
+        walk(np.ones((2, 3)), ctx=F.EvalContext(2))
 
 
 # -- order-respecting evaluation of random expression trees -------------------
@@ -269,8 +287,8 @@ def test_rigid_lie_derivative_matches_general_lie_node(name):
     # largest entry
     rec = beltrami.catalog(name)
     pts = sample(rec.domain, 200, generator="random", seed=5).points
-    fast = F.LieEuclidean(_RIGID.a, _RIGID.b, rec.field).jets(pts, order=5)
-    general = F.Lie(_RIGID.field(), rec.field).jets(pts, order=5)
+    fast = F.LieEuclidean(_RIGID.a, _RIGID.b, rec.field).jets(pts, 5, F.EvalContext(len(pts)))
+    general = F.Lie(_RIGID.field(), rec.field).jets(pts, 5, F.EvalContext(len(pts)))
     for jf, jg in zip(fast, general):
         assert jf.order == jg.order == 5
         for d in range(6):

@@ -6,14 +6,19 @@ import pytest
 from mhstools import beltrami, clebsch
 from mhstools.domains import Domain, sample
 from mhstools.fields import (
+    EvalContext,
     Gradient,
     VScale,
     cos,
     cross,
+    log,
     sin,
     vector,
+    x,
+    y,
     z,
 )
+from mhstools.reports import ConstructionError
 from mhstools.symmetry import (
     CANONICAL_GENERATORS,
     S,
@@ -205,7 +210,7 @@ class TestKillingScan:
                     np.stack(
                         [
                             c.grad
-                            for c in rec.field.jets(fresh.points, order=1)
+                            for c in rec.field.jets(fresh.points, 1, EvalContext(500))
                         ],
                         axis=1,
                     )
@@ -219,6 +224,22 @@ class TestKillingScan:
     def test_needs_six_samples(self):
         with pytest.raises(ValueError):
             killing_scan(vector(1.0, 0.0, 0.0), BALL, samples=sample(BALL, 3))
+
+    def test_needs_six_valid_samples(self):
+        with pytest.raises(ValueError, match="too few valid samples"):
+            killing_scan(vector(log(x - 10.0), y, 1.0), BALL, samples=sample(BALL, 20))
+
+    def test_zero_field_has_every_generator_in_its_null_space(self):
+        rep = killing_scan(vector(0.0, 0.0, 0.0), BALL, samples=sample(BALL, 20))
+        assert rep.null_dim == 6 and len(rep.null_basis) == 6
+        assert rep.notes["zero_operator"] is True
+        assert rep.boundary_gap is None
+
+    def test_invalid_samples_are_counted_and_excluded(self):
+        cube = Domain.box((-1, -1, -1), (1, 1, 1))
+        ss = sample(cube, 200)
+        rep = killing_scan(vector(log(x), y, 1.0), cube, samples=ss)
+        assert rep.notes["n_invalid_samples"] == int((ss.points[:, 0] <= 0.0).sum()) > 0
 
 
 class TestSymbolicOracle:
@@ -382,6 +403,11 @@ class TestAlphaTransport:
         )
         ss = sample(Domain.box((-1, -1, 0.5), (1, 1, 1.3)), 100)
         np.testing.assert_allclose(closed.values(ss.points), 2.5, atol=1e-12)
+
+    def test_mismatch_beyond_tolerance_raises(self):
+        with pytest.raises(ConstructionError, match="characteristic alpha mismatch"):
+            alpha_from_characteristics("abc_minimal", p=sin(S) + T, g=0.0 * T, n_targets=50,
+                                       tol=1e-300)
 
     def test_unknown_example_rejected(self):
         with pytest.raises(ValueError, match="no alpha construction") as ei:

@@ -10,11 +10,13 @@ one untimed warm-up round.  Batches alternate A-B, B-A, ..., so host drift
 falls on both sides alike.  A fresh worker pair starts every
 PAIRS_PER_WORKERS pairs: one process can sit 10-20 % above another running
 the same code, so a single pair of processes cannot tell the checkouts apart.
-Prints each side's pooled round median and minimum, op_p50 and per-kind
-medians in ms, failed operations and the pairs B won, then the B/A ratio of
-round medians pooled, per worker pair, and the spread (max - min) of the
-per-pair ratios; exits 1 when an operation failed (its traceback is on
-stderr).
+The rounds of the plan differ in cost, so B is compared with A round by
+round: round r of B against round r of A in the same pair.  Prints each
+side's pooled round median and minimum, op_p50 and per-kind medians in ms,
+failed operations and the pairs B won (a pair whose median per-round B/A
+ratio is below 1), then the median per-round B/A ratio pooled, per worker
+pair, and the spread (max - min) of the per-worker-pair medians; exits 1
+when an operation failed (its traceback is on stderr).
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ def main() -> int:
     args = ap.parse_args()
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
     checkouts = list(map(os.path.abspath, args.checkouts))
-    ops, walls, wins, ratios = ([], []), ([], []), 0, []
+    ops, walls, wins, ratios = ([], []), ([], []), 0, []  # ratios: per worker pair
     for first in range(0, args.pairs, PAIRS_PER_WORKERS):
         procs = [subprocess.Popen([sys.executable, __file__, "--worker", c, args.workload],
                                   cwd=c, env=env, text=True,
                                   stdin=subprocess.PIPE, stdout=subprocess.PIPE)
                  for c in checkouts]
-        start = [len(w) for w in walls]
+        ratios.append([])
         for p in range(first, min(first + PAIRS_PER_WORKERS, args.pairs)):
             for side in ((0, 1) if p % 2 == 0 else (1, 0)):
                 procs[side].stdin.write(f"{args.rounds}\n")
@@ -66,10 +68,11 @@ def main() -> int:
                 rounds = json.loads(procs[side].stdout.readline())
                 ops[side].extend(op for r in rounds for op in r)
                 walls[side].extend(1e3 * sum(op[1] for op in r) for r in rounds)
-            wins += median(walls[1][-args.rounds:]) < median(walls[0][-args.rounds:])
+            pair = [b / a for a, b in zip(walls[0][-args.rounds:], walls[1][-args.rounds:])]
+            ratios[-1].extend(pair)
+            wins += median(pair) < 1.0
         for proc in procs:
             proc.communicate()
-        ratios.append(median(walls[1][start[1]:]) / median(walls[0][start[0]:]))
 
     def row(label, per_side):
         print(f"{label:16}" + "".join(f"{per_side(s):10.3f}" for s in (0, 1)))
@@ -82,9 +85,10 @@ def main() -> int:
         row(kind, lambda s: 1e3 * median(op[1] for op in ops[s] if op[0] == kind))
     print(f"{'failed ops':16}" + "".join(f"{sum(not op[2] for op in o):10d}" for o in ops))
     print(f"B won {wins} of {args.pairs} pairs")
-    print(f"B/A round median: pooled {median(walls[1]) / median(walls[0]):.3f}, "
-          f"per worker pair {' '.join(f'{r:.3f}' for r in ratios)}, "
-          f"spread {max(ratios) - min(ratios):.3f}")
+    per_workers = [median(r) for r in ratios]
+    print(f"B/A per-round ratio median: pooled {median(r for rs in ratios for r in rs):.3f}, "
+          f"per worker pair {' '.join(f'{r:.3f}' for r in per_workers)}, "
+          f"spread {max(per_workers) - min(per_workers):.3f}")
     return int(any(not op[2] for o in ops for op in o))
 
 
