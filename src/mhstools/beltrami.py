@@ -9,8 +9,6 @@ coefficients and natural domains are pinned here for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from . import fields as F
@@ -31,7 +29,7 @@ from .fields import (
     y,
     z,
 )
-from .reports import ConstructionError, ResidualReport
+from .reports import ConstructionError, Record, ResidualReport
 
 # Construction-time gates.
 BELTRAMI_TOL = 1e-8
@@ -39,8 +37,7 @@ DIVERGENCE_TOL = 1e-8
 HARMONIC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HarmonicPair:
+class HarmonicPair(Record, frozen=True):
     """Conjugate harmonic functions u, v of (x, y): u_x = v_y, u_y = -v_x."""
 
     u: ScalarField
@@ -72,8 +69,7 @@ class HarmonicPair:
         return rep
 
 
-@dataclass(frozen=True)
-class AdmissibleChart:
+class AdmissibleChart(Record, frozen=True):
     """Curvilinear coordinates feeding the angle-form construction."""
 
     x1: ScalarField
@@ -82,8 +78,7 @@ class AdmissibleChart:
     orthogonal: bool = False
 
 
-@dataclass(frozen=True)
-class BeltramiRecord:
+class BeltramiRecord(Record, frozen=True):
     """A solenoidal curl eigenfield with its coefficient and natural domain."""
 
     field: VectorField
@@ -265,8 +260,7 @@ def _zsq_x3() -> BeltramiRecord:
 
 
 def _example3() -> BeltramiRecord:
-    return replace(
-        _zsq_x3(),
+    return _zsq_x3().replace(
         name="example3",
         provenance="zsq_x3 field in the chart (e^x sin y, -e^x cos y, z^2); z > 0 branch",
     )

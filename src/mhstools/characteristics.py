@@ -17,24 +17,21 @@ error estimate per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domains import Domain, SampleSet
 from .fields import Gradient, ScalarField, VectorField, as_points
+from .reports import Record
 
 
-@dataclass(frozen=True)
-class InitialCurve:
+class InitialCurve(Record, frozen=True):
     """Initial data psi = data on the level set surface = 0."""
 
     surface: ScalarField
     data: ScalarField
 
 
-@dataclass(frozen=True)
-class CharacteristicsProblem:
+class CharacteristicsProblem(Record, frozen=True):
     advecting: VectorField
     source: float
     initial: InitialCurve

@@ -10,8 +10,6 @@ log-Clebsch potential (clebsch_psi), never a curvilinear coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fields as F
@@ -33,7 +31,7 @@ from .fields import (
     y,
     z,
 )
-from .reports import ConstructionError, ResidualReport
+from .reports import ConstructionError, Record, ResidualReport
 
 FORCE_TOL = 1e-8
 DIV_TOL = 1e-9
@@ -41,8 +39,7 @@ CONSTRAINT_TOL = 1e-8
 HARMONIC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ClebschSolution:
+class ClebschSolution(Record, frozen=True):
     """A verified finite-pressure equilibrium in log-Clebsch form."""
 
     phi: ScalarField

@@ -11,8 +11,6 @@ those magnitudes are reported rather than gated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .beltrami import BeltramiRecord, beltrami_residual
@@ -20,7 +18,7 @@ from .checks import force_balance_residual
 from .clebsch import ClebschSolution
 from .domains import Domain, fibonacci_sphere, sample
 from .fields import VectorField
-from .reports import ConstructionError, ResidualReport
+from .reports import ConstructionError, Record, ResidualReport
 from .symmetry import KillingReport, killing_scan
 
 AMBIENT_RADIUS = 1.0
@@ -30,8 +28,7 @@ REGION_TOL = 1e-8  # residual gate of both regions
 REL_SE_TOL = 0.02  # largest relative standard error of the L2 estimate
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record, frozen=True):
     domain: Domain
     kind: str  # "core" | "shell"
     clebsch: ClebschSolution | None = None
@@ -42,8 +39,7 @@ class Region:
         return self.clebsch.w if self.clebsch is not None else self.beltrami.field
 
 
-@dataclass(frozen=True)
-class PiecewiseField:
+class PiecewiseField(Record, frozen=True):
     ambient: Domain
     core: Region
     shell: Region
@@ -113,8 +109,7 @@ def assemble(
     )
 
 
-@dataclass
-class CompositeReport:
+class CompositeReport(Record):
     core_report: ResidualReport
     shell_report: ResidualReport
     l2_estimate: float
@@ -126,7 +121,7 @@ class CompositeReport:
     interface_flux_shell_max: float
     boundary_flux_max: float
     core_killing: KillingReport
-    notes: dict = dc_field(default_factory=dict)
+    notes: dict = {}  # Record copies it per instance
 
     def passes(self) -> bool:
         core_gates = {

@@ -9,16 +9,15 @@ stream, both filtered by rejection against the region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .reports import Record
 
 DEFAULT_SAMPLES = 1000  # points a check draws when its caller passes no sample set
 SHAPES = ("box", "ball", "spherical_shell", "cylindrical_shell")
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record, frozen=True):
     """Axis-aligned box, ball, or shell."""
 
     shape: str
@@ -137,8 +136,7 @@ class Domain:
         return d
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Record, frozen=True):
     """An ordered, reproducible batch of sample points inside a domain."""
 
     points: np.ndarray

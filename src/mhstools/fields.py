@@ -10,11 +10,13 @@ for one order more and reads the derivative off by an exact column shift, so
 nested derivative nodes such as repeated Lie transport stay exact to roundoff
 and cost one tree walk.
 
-A node's children are its `Field`-typed dataclass fields, and `substitute`
-rebuilds any node from them with `dataclasses.replace`.  The node classes are
-their own public constructors (`exp = Exp`, `vector = FromComponents`, ...);
-the unary functions, `atan2`, `vector` and `VScale` turn a number given for a
-scalar child into a `Const` in `__post_init__`.
+Each node class declares its fields as annotations on a `reports.Record`
+(frozen, slotted, compared and hashed field-wise).  A field annotated
+`ScalarField` or `VectorField` is a child: a number given for a scalar child
+becomes a `Const`, and `rebuild` maps a whole tree, scalar and vector nodes
+alike, through its children; `substitute` is a leaf mapping on it.  The node
+classes are their own public constructors (`exp = Exp`, `vector =
+FromComponents`, ...).
 
 Domain violations (log of a non-positive argument, division by zero, ...) are
 recorded per sample point and never abort a batched evaluation; single-point
@@ -23,14 +25,12 @@ evaluation raises `EvaluationError` naming the offending node.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .jets import Jet, _rotation, _shift, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
+from .reports import Record
 
 _AXES = "xyz"
 
@@ -102,8 +102,25 @@ def evaluate(f: "ScalarField | VectorField", pts: np.ndarray,
     return v, ctx
 
 
-class Field:
-    """What scalar and vector expression nodes share: order-0 entry points, rendering."""
+class Field(Record, frozen=True):
+    """What scalar and vector expression nodes share: order-0 entry points, rendering.
+
+    `_children` names the fields that `rebuild` walks, by default those
+    annotated `ScalarField` or `VectorField`; `_scalars` names the fields that
+    turn a number into a `Const`.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        kinds = cls._fields.items()
+        cls._scalars = tuple(k for k, t in kinds if t == "ScalarField")
+        if "_children" not in vars(cls):
+            cls._children = tuple(k for k, t in kinds if t in ("ScalarField", "VectorField"))
+
+    def __post_init__(self):
+        for name in self._scalars:
+            if not isinstance(getattr(self, name), ScalarField):
+                object.__setattr__(self, name, as_scalar(getattr(self, name)))
 
     def values(self, pts) -> np.ndarray:
         """Values at (N, 3) points, shape (N,) or (N, 3); invalid samples are NaN."""
@@ -142,31 +159,7 @@ class ScalarField(Field):
         s = self.render()
         return f"({s})" if self.precedence < prec else s
 
-    # operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return Add(self, as_scalar(other))
-
-    def __radd__(self, other):
-        return Add(as_scalar(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, as_scalar(other))
-
-    def __rsub__(self, other):
-        return Sub(as_scalar(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, as_scalar(other))
-
-    def __rmul__(self, other):
-        return Mul(as_scalar(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, as_scalar(other))
-
-    def __rtruediv__(self, other):
-        return Div(as_scalar(other), self)
+    # operator sugar: + - * / and their reflections come from `_binary` ------
 
     def __pow__(self, e):
         return Pow(self, float(e))
@@ -183,7 +176,6 @@ def as_scalar(obj) -> ScalarField:
     raise TypeError(f"cannot interpret {obj!r} as a scalar field")
 
 
-@dataclass(frozen=True)
 class Const(ScalarField):
     c: float
 
@@ -194,7 +186,6 @@ class Const(ScalarField):
         return _num(self.c)
 
 
-@dataclass(frozen=True)
 class Coord(ScalarField):
     axis: int
 
@@ -205,7 +196,6 @@ class Coord(ScalarField):
         return _AXES[self.axis]
 
 
-@dataclass(frozen=True)
 class Placeholder(ScalarField):
     """Free variable used in univariate expressions; must be substituted."""
 
@@ -218,7 +208,6 @@ class Placeholder(ScalarField):
         return self.name
 
 
-@dataclass(frozen=True)
 class Neg(ScalarField):
     a: ScalarField
     precedence = 15
@@ -230,7 +219,6 @@ class Neg(ScalarField):
         return f"-{self.a._wrap(16)}"
 
 
-@dataclass(frozen=True)
 class Pow(ScalarField):
     base: ScalarField
     expo: float
@@ -251,14 +239,7 @@ class Pow(ScalarField):
         return f"{self.base._wrap(31)}^{_num(self.expo)}"
 
 
-def _as_scalars(node, *names) -> None:
-    """Turn numbers given for the scalar children `names` of a new node into `Const`s."""
-    for name in names:
-        object.__setattr__(node, name, as_scalar(getattr(node, name)))
-
-
 def _binary(name: str, fn, symbol: str, precedence: int, domain=None):
-    @dataclass(frozen=True)
     class Node(ScalarField):
         a: ScalarField
         b: ScalarField
@@ -275,6 +256,9 @@ def _binary(name: str, fn, symbol: str, precedence: int, domain=None):
 
     Node.precedence = precedence
     Node.__name__ = Node.__qualname__ = name
+    op = fn.__name__  # "add", "sub", "mul" or "truediv": the operator sugar
+    setattr(ScalarField, f"__{op}__", lambda self, other: Node(self, other))
+    setattr(ScalarField, f"__r{op}__", lambda self, other: Node(other, self))
     return Node
 
 
@@ -285,12 +269,8 @@ Div = _binary("Div", operator.truediv, "/", 20, domain=np.logical_not)  # b == 0
 
 
 def _unary(name: str, fn, domain=None, pole=False):
-    @dataclass(frozen=True)
     class Node(ScalarField):
         a: ScalarField
-
-        def __post_init__(self):
-            _as_scalars(self, "a")
 
         def jet(self, pts, order, ctx):
             j = self.a.jet(pts, order, ctx)
@@ -315,13 +295,9 @@ Cos = _unary("cos", jcos)
 Sqrt = _unary("sqrt", jsqrt, domain=lambda v: v < 0.0, pole=True)
 
 
-@dataclass(frozen=True)
 class Atan2(ScalarField):
     ynode: ScalarField
     xnode: ScalarField
-
-    def __post_init__(self):
-        _as_scalars(self, "ynode", "xnode")
 
     def jet(self, pts, order, ctx):
         jy = self.ynode.jet(pts, order, ctx)
@@ -333,12 +309,11 @@ class Atan2(ScalarField):
         return f"atan2({self.ynode.render()}, {self.xnode.render()})"
 
 
-@dataclass(frozen=True)
 class Dot(ScalarField):
     """Pointwise inner product of two vector fields."""
 
-    u: "VectorField"
-    v: "VectorField"
+    u: VectorField
+    v: VectorField
 
     def jet(self, pts, order, ctx):
         ju = self.u.jets(pts, order, ctx)
@@ -349,9 +324,8 @@ class Dot(ScalarField):
         return f"dot({self.u.render()}, {self.v.render()})"
 
 
-@dataclass(frozen=True)
 class VComponent(ScalarField):
-    w: "VectorField"
+    w: VectorField
     axis: int
 
     def jet(self, pts, order, ctx):
@@ -361,11 +335,10 @@ class VComponent(ScalarField):
         return f"{self.w.render()}[{self.axis}]"
 
 
-@dataclass(frozen=True)
 class Divergence(ScalarField):
     """Divergence of a vector field; consumes one derivative order."""
 
-    w: "VectorField"
+    w: VectorField
 
     def jet(self, pts, order, ctx):
         child = self.w.jets(pts, order + 1, ctx)
@@ -375,29 +348,28 @@ class Divergence(ScalarField):
         return f"div({self.w.render()})"
 
 
-@dataclass(frozen=True)
 class Compose1(ScalarField):
     """Derivative g'(u) of a univariate expression g composed with a field u.
 
     `gexpr` is an expression over a single Placeholder `var`; the chain rule
     is applied exactly by evaluating `gexpr` on jets seeded along the first
     axis, one order above the caller's, and reading g', g'', ... off them.
-    The composition g(u) itself is `substitute(gexpr, {var: u})`.
+    The composition g(u) itself is `substitute(gexpr, {var: u})`.  `gexpr`
+    is not a child: it is written in its own variable, so `rebuild` keeps it.
     """
 
+    __slots__ = ("_gx",)  # `gexpr` over the first axis, filled by the first walk
+    _children = ("inner",)
     gexpr: ScalarField
     inner: ScalarField
     var: str = "T"
-
-    @cached_property
-    def _gx(self) -> ScalarField:
-        """`gexpr` over the first axis, built once per node."""
-        return substitute(self.gexpr, {self.var: X})
 
     def jet(self, pts, order, ctx):
         ju = self.inner.jet(pts, order, ctx)
         seeded = np.zeros((ju.value.shape[0], 3))
         seeded[:, 0] = ju.value
+        if not hasattr(self, "_gx"):
+            object.__setattr__(self, "_gx", substitute(self.gexpr, {self.var: X}))
         jt = self._gx.jet(seeded, order + 1, ctx)
         # g', g'', ... along the seeded axis: column 0 of each block
         return ju.chain([b[:, 0] for b in jt.c[1:]])
@@ -416,31 +388,39 @@ exp, log, sin, cos, sqrt, atan2 = Exp, Log, Sin, Cos, Sqrt, Atan2
 dot, divergence = Dot, Divergence
 
 
-def substitute(expr: ScalarField, mapping: dict) -> ScalarField:
+def rebuild(node: Field, fn) -> Field:
+    """`node` with every subtree that `fn` maps replaced, scalar and vector alike.
+
+    `fn` returns a node's replacement, or None to keep the node and rebuild
+    it from its rebuilt `_children`; a node whose children all come back
+    unchanged is returned as it is.
+    """
+    new = fn(node)
+    if new is not None:
+        return new
+    kids = {k: rebuild(getattr(node, k), fn) for k in node._children}
+    if all(v is getattr(node, k) for k, v in kids.items()):
+        return node
+    return node.replace(**kids)
+
+
+def substitute(expr: Field, mapping: dict) -> Field:
     """Rebuild `expr` with Placeholder/Coord nodes replaced per `mapping`.
 
-    Keys are placeholder names ("T", "s", ...) or axis letters "x", "y", "z".
-    Every other node is rebuilt from its rebuilt children, except a
-    `Compose1`'s `gexpr`, which is written in its own variable.  A node
-    that holds a vector field raises `TypeError`.
+    Keys are placeholder names ("T", "s", ...) or axis letters "x", "y", "z";
+    values are scalar fields or numbers.
     """
 
-    def rebuild(node):
-        if isinstance(node, Placeholder) and node.name in mapping:
-            return as_scalar(mapping[node.name])
-        if isinstance(node, Coord) and _AXES[node.axis] in mapping:
-            return as_scalar(mapping[_AXES[node.axis]])
-        kids = {}
-        for f in dataclasses.fields(node):
-            child = getattr(node, f.name)
-            if isinstance(child, VectorField):
-                raise TypeError(f"cannot substitute inside node {node!r}")
-            if isinstance(child, ScalarField) and not (
-                    isinstance(node, Compose1) and f.name == "gexpr"):
-                kids[f.name] = rebuild(child)
-        return dataclasses.replace(node, **kids) if kids else node
+    def leaf(node):
+        if isinstance(node, Placeholder):
+            key = node.name
+        elif isinstance(node, Coord):
+            key = _AXES[node.axis]
+        else:
+            return None
+        return as_scalar(mapping[key]) if key in mapping else None
 
-    return rebuild(expr)
+    return rebuild(expr, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -489,25 +469,21 @@ class VectorField(Field):
         return VAdd(self, other)
 
     def __sub__(self, other):
-        return VAdd(self, VScale(Const(-1.0), other))
+        return VAdd(self, VScale(-1.0, other))
 
     def __neg__(self):
-        return VScale(Const(-1.0), self)
+        return VScale(-1.0, self)
 
     def __mul__(self, other):
-        return VScale(as_scalar(other), self)
+        return VScale(other, self)
 
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
 class FromComponents(VectorField):
     fx: ScalarField
     fy: ScalarField
     fz: ScalarField
-
-    def __post_init__(self):
-        _as_scalars(self, "fx", "fy", "fz")
 
     def _jets(self, pts, order, ctx):
         return (
@@ -520,7 +496,6 @@ class FromComponents(VectorField):
         return f"({self.fx.render()}, {self.fy.render()}, {self.fz.render()})"
 
 
-@dataclass(frozen=True)
 class Gradient(VectorField):
     f: ScalarField
 
@@ -532,7 +507,6 @@ class Gradient(VectorField):
         return f"grad({self.f.render()})"
 
 
-@dataclass(frozen=True)
 class Curl(VectorField):
     w: VectorField
 
@@ -548,7 +522,6 @@ class Curl(VectorField):
         return f"curl({self.w.render()})"
 
 
-@dataclass(frozen=True)
 class Cross(VectorField):
     u: VectorField
     v: VectorField
@@ -566,7 +539,6 @@ class Cross(VectorField):
         return f"cross({self.u.render()}, {self.v.render()})"
 
 
-@dataclass(frozen=True)
 class VAdd(VectorField):
     u: VectorField
     v: VectorField
@@ -580,13 +552,9 @@ class VAdd(VectorField):
         return f"{self.u.render()} + {self.v.render()}"
 
 
-@dataclass(frozen=True)
 class VScale(VectorField):
     f: ScalarField
     w: VectorField
-
-    def __post_init__(self):
-        _as_scalars(self, "f")
 
     def _jets(self, pts, order, ctx):
         jf = self.f.jet(pts, order, ctx)
@@ -597,7 +565,6 @@ class VScale(VectorField):
         return f"({self.f.render()})*{self.w.render()}"
 
 
-@dataclass(frozen=True)
 class Lie(VectorField):
     """Lie derivative of `w` along `xi`: (xi.grad) w - (w.grad) xi."""
 
@@ -619,7 +586,6 @@ class Lie(VectorField):
         return f"lie({self.xi.render()}, {self.w.render()})"
 
 
-@dataclass(frozen=True)
 class LieEuclidean(VectorField):
     """Lie derivative of `w` along the rigid generator xi = a + b x r = a + B r.
 

@@ -21,8 +21,6 @@ equation (whose left-hand side must equal one) are verified sample-wise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import clebsch
@@ -47,14 +45,13 @@ from .fields import (
     y,
     z,
 )
-from .reports import ConstructionError, ResidualReport
+from .reports import ConstructionError, Record, ResidualReport
 
 SYMMETRY_TOL = 1e-9
 SINGULAR_TOL = 1e-10  # |grad Theta| below which a sample is singular for ggse_check
 
 
-@dataclass(frozen=True)
-class SymmetricChart:
+class SymmetricChart(Record, frozen=True):
     """Canonical chart with an ignorable third coordinate.
 
     kind "translational": plane slots (x, y), tangent z-hat, g33 = 1.
@@ -100,8 +97,7 @@ class SymmetricChart:
         return Domain.cylindrical_shell(0.5, 1.5, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class GSProblem:
+class GSProblem(Record, frozen=True):
     """Flux function plus
     univariate profiles for the reduced force-balance equation."""
 
@@ -179,8 +175,7 @@ def gs_reconstruct(prob: GSProblem) -> tuple[VectorField, ScalarField]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GGSData:
+class GGSData(Record, frozen=True):
     """Clebsch split of a finite-pressure solution for the generalized check.
 
     x1, x2 are coordinates with curl w = grad x1 x grad x2; Theta and Psi are

@@ -18,13 +18,11 @@ walk.  An orbit of depth d therefore costs one tree walk at order d + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .beltrami import BeltramiRecord, beltrami_residual
 from .checks import residual_report, scalar_abs_stats, vector_norm_stats
 from .domains import SampleSet, sample
 from .fields import Curl, Divergence, Dot, Gradient, ScalarField, VectorField, evaluate
-from .reports import ConstructionError, ResidualReport
+from .reports import ConstructionError, Record, ResidualReport
 from .symmetry import KillingParams, lie_euclidean
 
 MAX_ORBIT_DEPTH = 4
@@ -59,8 +57,7 @@ def h_symmetry_check(
     return residual_report("h_symmetry", samples, {"h_symmetry": drift})
 
 
-@dataclass
-class OrbitMember:
+class OrbitMember(Record):
     field: VectorField
     index: int
     report: ResidualReport
@@ -81,13 +78,12 @@ class OrbitMember:
         }
 
 
-@dataclass
-class LieOrbit:
+class LieOrbit(Record):
     base: BeltramiRecord
     generator: KillingParams
     members: list[OrbitMember]
     truncated: bool = False
-    notes: dict = dc_field(default_factory=dict)
+    notes: dict = {}  # Record copies it per instance
 
     def to_dict(self):
         return {

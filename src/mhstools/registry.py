@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import beltrami, clebsch
 from .beltrami import BeltramiRecord
 from .clebsch import ClebschSolution
 from .domains import Domain
 from .fields import ScalarField, VectorField
+from .reports import Record
 
 
-@dataclass(frozen=True)
-class FieldEntry:
+class FieldEntry(Record, frozen=True):
     name: str
     kind: str  # "beltrami" | "pressure"
     field: VectorField

@@ -14,8 +14,6 @@ when no rigid symmetry exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from . import fields as F
@@ -46,7 +44,7 @@ from .fields import (
     y,
     z,
 )
-from .reports import ConstructionError, ResidualReport
+from .reports import ConstructionError, Record, ResidualReport
 
 DEFAULT_THRESHOLD = 1e-6
 
@@ -56,8 +54,7 @@ T = Placeholder("t")
 S = Placeholder("s")
 
 
-@dataclass(frozen=True)
-class KillingParams:
+class KillingParams(Record, frozen=True):
     """Generator of a rigid motion: translation a plus rotation b x r."""
 
     a: tuple
@@ -110,8 +107,7 @@ CANONICAL_GENERATORS = (
 )
 
 
-@dataclass
-class KillingReport:
+class KillingReport(Record):
     """SVD summary of the sampled rigid-symmetry operator."""
 
     singular_values: list[float]
@@ -120,7 +116,7 @@ class KillingReport:
     threshold: float
     boundary_gap: float | None
     provenance: dict
-    notes: dict = dc_field(default_factory=dict)
+    notes: dict = {}  # Record copies it per instance
 
     def to_dict(self):
         d = {

@@ -136,13 +136,22 @@ def test_halton_matches_scipy_bit_for_bit():
     assert start > 10**5
 
 
-def test_cli_import_does_not_load_scipy():
+def _loaded_by_cli_import(package: str) -> str:
+    """The modules of `package` that `import mhstools.cli` loads in a fresh interpreter."""
     src = str(Path(mhstools.__file__).resolve().parents[1])
     code = ("import sys, mhstools.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # the package declares its value classes on reports.Record, with no code generation
+    assert _loaded_by_cli_import("dataclasses") == "[]"
 
 
 def test_fibonacci_sphere_on_radius():

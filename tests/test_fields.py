@@ -1,6 +1,5 @@
 """Expression-tree operators: spec examples, identities, FD agreement."""
 
-import dataclasses
 import re
 
 import numpy as np
@@ -37,6 +36,7 @@ from mhstools.fields import (
     y,
     z,
 )
+from mhstools.reports import CheckStats, ResidualReport
 
 BALL = Domain.ball((0.0, 0.0, 0.0), 1.0)
 
@@ -328,7 +328,7 @@ class TestPowDomain:
 def _scalar_node_classes(cls=None):
     """Every concrete ScalarField node class, found through `__subclasses__`."""
     for sub in (cls or ScalarField).__subclasses__():
-        if dataclasses.is_dataclass(sub):
+        if sub._fields:
             yield sub
         yield from _scalar_node_classes(sub)
 
@@ -336,13 +336,13 @@ def _scalar_node_classes(cls=None):
 def _build(cls, scalar):
     """An instance of `cls` with every scalar child set to `scalar`."""
     args = []
-    for f in dataclasses.fields(cls):
-        if f.name == "gexpr":
+    for name, kind in cls._fields.items():
+        if name == "gexpr":
             args.append(Placeholder("T"))
-        elif "VectorField" in f.type:
+        elif kind == "VectorField":
             args.append(vector(scalar, y, z))
         else:
-            args.append({"ScalarField": scalar, "float": 2.0, "int": 0, "str": "T"}[f.type])
+            args.append({"ScalarField": scalar, "float": 2.0, "int": 0, "str": "T"}[kind])
     return cls(*args)
 
 
@@ -357,11 +357,7 @@ class TestSubstitute:
 
     @pytest.mark.parametrize("cls", SCALAR_NODES, ids=lambda c: c.__name__)
     def test_rebuilds_every_node(self, cls):
-        node = _build(cls, x)
-        if cls.__name__ in HOLDS_VECTOR:
-            with pytest.raises(TypeError, match="cannot substitute inside node"):
-                substitute(node, {})
-            return
+        node = _build(cls, x)  # a node in HOLDS_VECTOR maps inside its vector children
         assert substitute(node, {}) == node
         expected = y if cls is Coord else _build(cls, y)
         out = substitute(node, {"x": y})
@@ -377,7 +373,7 @@ class TestSubstitute:
         for _ in range(3):
             np.testing.assert_array_equal(node.values(pts), first)
         assert calls == []
-        assert dataclasses.fields(node) == dataclasses.fields(Compose1)
+        assert list(node._fields) == ["gexpr", "inner", "var"]
         assert node == Compose1(node.gexpr, node.inner) and "_gx" not in repr(node)
 
     def test_compose1_keeps_its_own_expression(self):
@@ -392,14 +388,67 @@ class TestSubstitute:
             (lambda: exp(1.0), "exp(1)"),
             (lambda: atan2(1.0, x), "atan2(1, x)"),
             (lambda: vector(0.0, x, 1), "(0, x, 1)"),
+            (lambda: fields.Add(1.0, x), "1 + x"),
+            (lambda: fields.Neg(2.0), "-2"),
+            (lambda: fields.Pow(3.0, 2.0), "3^2"),
+            (lambda: fields.Mul(x, 2), "x*2"),
         ],
-        ids=["exp", "atan2", "vector"],
+        ids=["exp", "atan2", "vector", "add", "neg", "pow", "mul"],
     )
     def test_constructors_turn_numbers_into_const(self, made, expected):
         node = made()
-        kids = [getattr(node, f.name) for f in dataclasses.fields(node)]
-        assert all(isinstance(k, Const) for k in kids if not isinstance(k, Coord))
+        kids = [getattr(node, name) for name in node._scalars]
+        assert kids and all(isinstance(k, Const) for k in kids if not isinstance(k, Coord))
         assert node.render() == expected
+        assert np.isfinite(node.values(np.ones((2, 3)))).all()
+
+    def test_rebuild_maps_a_vector_tree(self):
+        tree = curl(vector(x, y, z))
+        out = fields.rebuild(tree, lambda n: y if n == x else None)
+        assert out == curl(vector(y, y, z))
+        assert out.render() == "curl((y, y, z))"
+        assert fields.rebuild(tree, lambda n: None) is tree  # nothing mapped: nothing rebuilt
+
+
+class TestDeclaredFields:
+    def test_separately_built_equal_trees_are_equal_and_hash_alike(self):
+        def build():
+            return lie_derivative(curl(vector(exp(x) * sin(y), 2.0, z**2)), vector(0.0, 0.0, 1.0))
+
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != lie_derivative(curl(vector(exp(x) * sin(y), 3.0, z**2)),
+                                   vector(0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("obj,name", [
+        (x + y, "a"),
+        (vector(x, y, z), "fx"),
+        (BALL, "r_outer"),
+        (CheckStats(1.0, 1.0, 1.0, 3, 0), "max"),
+    ], ids=["node", "vector_node", "domain", "check_stats"])
+    def test_assignment_to_a_frozen_instance_raises(self, obj, name):
+        with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+            setattr(obj, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+    def test_mutable_record_copies_its_dict_default_and_is_unhashable(self):
+        a, b = ResidualReport("r", {}, {}), ResidualReport("r", {}, {})
+        assert a == b and a.notes is not b.notes  # the dict default is copied per instance
+        a.label = "s"
+        assert a != b and a.replace(label="r") == b
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((1.0, 2.0, 3.0, 4, 0, 9), {}),
+        ((1.0, 2.0, 3.0, 4), {}),
+        ((1.0, 2.0, 3.0, 4), {"n_errors": 0, "max": 1.0}),
+        ((1.0, 2.0, 3.0, 4), {"n_errors": 0, "median": 1.0}),
+    ], ids=["too_many", "missing", "twice", "unknown"])
+    def test_constructor_arguments_must_match_the_fields(self, args, kwargs):
+        with pytest.raises(TypeError):
+            CheckStats(*args, **kwargs)
 
 
 _U, _V = vector(x, y, 1.0), vector(z, 0.0, x)

@@ -1,13 +1,15 @@
-"""Interleaved A/B timing of one in-process benchmark workload in two checkouts.
+"""Interleaved A/B timing of one benchmark workload in two checkouts.
 
     python tools/ab_rounds.py CHECKOUT_A CHECKOUT_B --workload orbit-transport --pairs 10 --rounds 5
 
-A pair of workers, one per checkout, each with its `src/` and `bench/` on
-`sys.path`, `OPENBLAS_NUM_THREADS=1` and `PYTHONHASHSEED=0`, runs batches of
-rounds 0..K-1 of the seed-1 plan with `bench/worker.py`'s `Workload.run_round`
-(operations through `bench/inproc.py`, timed by `bench/opcontext.py`), after
-one untimed warm-up round.  Batches alternate A-B, B-A, ..., so host drift
-falls on both sides alike.  A fresh worker pair starts every
+A pair of workers, one per checkout, each with its `src/` on `PYTHONPATH`,
+its `bench/` on `sys.path`, `OPENBLAS_NUM_THREADS=1` and `PYTHONHASHSEED=0`,
+runs batches of rounds 0..K-1 of the seed-1 plan with `bench/worker.py`'s
+`Workload.run_round`, after one untimed warm-up round: in-process operations
+through `bench/inproc.py`, or for cli-session `python -m mhstools.cli`
+children that inherit that `PYTHONPATH` and write into the checkout's
+`.bench_run/`, timed by `bench/opcontext.py`.  Batches alternate A-B, B-A,
+..., so host drift falls on both sides alike.  A fresh worker pair starts every
 PAIRS_PER_WORKERS pairs: one process can sit 10-20 % above another running
 the same code, so a single pair of processes cannot tell the checkouts apart.
 The rounds of the plan differ in cost, so B is compared with A round by
@@ -33,10 +35,12 @@ PAIRS_PER_WORKERS = 5
 
 def worker(checkout: str, workload: str) -> None:
     """For each line K on stdin, run rounds 0..K-1; print their (kind, s, ok) as JSON."""
-    sys.path[:0] = [os.path.join(checkout, d) for d in ("src", "bench")]
+    sys.path.insert(0, os.path.join(checkout, "bench"))
     from worker import Workload
 
-    w = Workload(argparse.Namespace(workload=workload, seed=1, tiny=False))
+    workdir = os.path.join(checkout, ".bench_run")
+    os.makedirs(workdir, exist_ok=True)
+    w = Workload(argparse.Namespace(workload=workload, seed=1, tiny=False, workdir=workdir))
     w.run_round(0, None)
     for line in sys.stdin:
         rounds = [w.run_round(r, None) for r in range(int(line))]
@@ -48,7 +52,8 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("checkouts", nargs=2, metavar="CHECKOUT")
     ap.add_argument("--workload", default="orbit-transport",
-                    choices=("catalog-sweep", "orbit-transport", "characteristics"))
+                    choices=("catalog-sweep", "orbit-transport", "characteristics",
+                             "cli-session"))
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--rounds", type=int, default=5)
     args = ap.parse_args()
@@ -57,8 +62,8 @@ def main() -> int:
     ops, walls, wins, ratios = ([], []), ([], []), 0, []  # ratios: per worker pair
     for first in range(0, args.pairs, PAIRS_PER_WORKERS):
         procs = [subprocess.Popen([sys.executable, __file__, "--worker", c, args.workload],
-                                  cwd=c, env=env, text=True,
-                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                                  cwd=c, env={**env, "PYTHONPATH": os.path.join(c, "src")},
+                                  text=True, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
                  for c in checkouts]
         ratios.append([])
         for p in range(first, min(first + PAIRS_PER_WORKERS, args.pairs)):
