@@ -6,7 +6,7 @@ values only, order 1 adds gradients, order 2 Hessians, and so on; nothing
 above the order is computed.  Differentiation is exact forward-mode through
 the tree at every order: a node that consumes a derivative (gradient, curl,
 divergence, Lie derivative, the derivative of a composition) asks its child
-for one order more and reads the derivative off by an exact column shift, so
+for one order more and reads the derivative off by an exact row shift, so
 nested derivative nodes such as repeated Lie transport stay exact to roundoff
 and cost one tree walk.
 
@@ -29,7 +29,7 @@ import operator
 
 import numpy as np
 
-from .jets import Jet, _rotation, _shift, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
+from .jets import Jet, _rotation, _shifts, jatan2, jcos, jexp, jlog, jpow, jsin, jsqrt
 from .reports import Record
 
 _AXES = "xyz"
@@ -371,8 +371,8 @@ class Compose1(ScalarField):
         if not hasattr(self, "_gx"):
             object.__setattr__(self, "_gx", substitute(self.gexpr, {self.var: X}))
         jt = self._gx.jet(seeded, order + 1, ctx)
-        # g', g'', ... along the seeded axis: column 0 of each block
-        return ju.chain([b[:, 0] for b in jt.c[1:]])
+        # g', g'', ... along the seeded axis: row 0 of each block
+        return ju.chain([jt.block(d)[0] for d in range(1, order + 2)])
 
     def render(self):
         return f"[{self.gexpr.render()}]'({self.inner.render()})"
@@ -589,10 +589,10 @@ class Lie(VectorField):
 class LieEuclidean(VectorField):
     """Lie derivative of `w` along the rigid generator xi = a + b x r = a + B r.
 
-    xi is linear, so the product rule needs no Leibniz sums: column alpha of
-    block d of component k is sum_i xi_i D^(alpha + e_i) w_k (one column
-    gather of block d + 1) + sum_(i != j) B_ij alpha_j D^(alpha - e_j + e_i) w_k
-    (block d times `jets._rotation(d)` contracted with B) - sum_j B_kj D^alpha w_j.
+    xi is linear, so the product rule needs no Leibniz sums: row alpha of
+    block d of component k is sum_i xi_i D^(alpha + e_i) w_k (one row gather
+    of block d + 1) + sum_(i != j) B_ij alpha_j D^(alpha - e_j + e_i) w_k
+    (block d contracted with `jets._rotation(d)` and B) - sum_j B_kj D^alpha w_j.
     """
 
     a: tuple
@@ -605,19 +605,21 @@ class LieEuclidean(VectorField):
         x, y, z = pts.T
         xi = (a0 + (b1 * z - b2 * y), a1 + (b2 * x - b0 * z), a2 + (b0 * y - b1 * x))
         bmat = np.array([[0.0, -b2, b1], [b2, 0.0, -b0], [-b1, b0, 0.0]])
-        # block d of the three components stacked, (3, N, cols); block 0 as one column
-        w = [np.array([j.c[d].reshape(len(pts), -1) for j in jw]) for d in range(order + 2)]
+        # block d of the three components interleaved, (rows, 3, N); block 0 as one row
+        w = [np.stack([j.block(d).reshape(-1, len(pts)) for j in jw], axis=1)
+             for d in range(order + 2)]
         out = []
         for d in range(order + 1):
-            q = w[d].shape[2]
-            g = w[d + 1][:, :, np.concatenate([_shift(d, i) for i in range(3)])]
-            acc = xi[0][:, None] * g[..., :q] + xi[1][:, None] * g[..., q:2 * q]
-            acc = acc + xi[2][:, None] * g[..., 2 * q:]
+            q = len(w[d])
+            g = w[d + 1][_shifts(d)]
+            acc = xi[0] * g[:q] + xi[1] * g[q:2 * q] + xi[2] * g[2 * q:]
             if d:
-                rot = np.einsum("ij,ijpq->pq", bmat, _rotation(d))
-                acc = acc + np.einsum("knp,pq->knq", w[d], rot)
-            out.append(acc - np.einsum("kj,jnq->knq", bmat, w[d]))
-        return tuple(Jet([out[0][k, :, 0], *(o[k] for o in out[1:])]) for k in range(3))
+                rot = np.einsum("ij,ijqp->qp", bmat, _rotation(d))
+                acc = acc + np.einsum("qp,pkn->qkn", rot, w[d])
+            w0, w1, w2 = w[d][:, 0], w[d][:, 1], w[d][:, 2]
+            out.append((acc[:, 0] - (b1 * w2 - b2 * w1), acc[:, 1] - (b2 * w0 - b0 * w2),
+                        acc[:, 2] - (b0 * w1 - b1 * w0)))
+        return tuple(Jet([out[0][k][0], *(o[k] for o in out[1:])]) for k in range(3))
 
     def render(self):
         a = ",".join(_num(v) for v in self.a)

@@ -2,11 +2,15 @@
 
 A jet of order K holds, at each of N points, every partial derivative up to
 total degree K of a scalar function of (x, y, z), in degree blocks: block 0
-the values (N,), block d the degree-d derivatives (N, (d + 1)(d + 2)/2), one
-column per sorted axis tuple of `monomials(d)`.  Block 1 is the gradient,
-block 2 the packed Hessian xx, xy, xz, yy, yz, zz.  Blocks hold derivatives,
-i.e. Taylor coefficients times alpha! (the Hessian diagonal keeps its exact
-factor 2), so a partial derivative is an exact column shift one block down.
+the values (N,), block d the degree-d derivatives ((d + 1)(d + 2)/2, N), one
+row per sorted axis tuple of `monomials(d)`, the points along the last axis.
+Block 1 is the gradient, block 2 the packed Hessian xx, xy, xz, yy, yz, zz.
+Blocks hold derivatives, i.e. Taylor coefficients times alpha! (the Hessian
+diagonal keeps its exact factor 2), so a partial derivative is an exact row
+shift one block down.  A constant carries its values alone: its derivative
+blocks are None, exact zeros that arithmetic skips, and `Jet.block`
+materialises them for the few readers that need arrays.  A jet's derivative
+blocks are all arrays or all None.
 
 Arithmetic is exact forward-mode Taylor arithmetic (Griewank & Walther,
 Evaluating Derivatives, 2008, ch. 13) at the lower order of its operands.
@@ -33,27 +37,33 @@ _FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # packed index of Hessian e
 
 @lru_cache(maxsize=None)
 def monomials(d: int) -> tuple:
-    """Sorted axis tuples of the degree-d derivatives, in block column order."""
+    """Sorted axis tuples of the degree-d derivatives, in block row order."""
     return tuple(combinations_with_replacement(range(3), d))
 
 
 @lru_cache(maxsize=None)
 def _shift(d: int, axis: int) -> np.ndarray:
-    """Columns of block d + 1 holding the axis-derivatives of block d."""
+    """Rows of block d + 1 holding the axis-derivatives of block d."""
     return np.array([monomials(d + 1).index(tuple(sorted(m + (axis,)))) for m in monomials(d)])
 
 
 @lru_cache(maxsize=None)
+def _shifts(d: int) -> np.ndarray:
+    """The x, y and z shifts of block d one after another: one gather of block d + 1."""
+    return np.concatenate([_shift(d, i) for i in range(3)])
+
+
+@lru_cache(maxsize=None)
 def _rotation(d: int) -> np.ndarray:
-    """Product-rule table of a linear field B r on block d: entry [i, j, p, q] is
-    alpha_j where column q is alpha and column p is alpha - e_j + e_i, so column
-    q of (block d) @ sum_ij B_ij [i, j] is sum_ij B_ij alpha_j D^(alpha - e_j + e_i)."""
-    cols = monomials(d)
-    table = np.zeros((3, 3, len(cols), len(cols)))
-    for q, alpha in enumerate(cols):
+    """Product-rule table of a linear field B r on block d: entry [i, j, q, p] is
+    alpha_j where row q is alpha and row p is alpha - e_j + e_i, so row q of
+    (sum_ij B_ij [i, j]) @ (block d) is sum_ij B_ij alpha_j D^(alpha - e_j + e_i)."""
+    rows = monomials(d)
+    table = np.zeros((3, 3, len(rows), len(rows)))
+    for q, alpha in enumerate(rows):
         for n, j in enumerate(alpha):  # once per factor of axis j: alpha_j in all
             for i in range(3):
-                table[i, j, cols.index(tuple(sorted(alpha[:n] + (i,) + alpha[n + 1:]))), q] += 1
+                table[i, j, q, rows.index(tuple(sorted(alpha[:n] + (i,) + alpha[n + 1:])))] += 1
     return table
 
 
@@ -61,18 +71,18 @@ def _rotation(d: int) -> np.ndarray:
 def _leibniz(d: int, lo: int, square: bool = False):
     """Pair table of the degree-d Leibniz sum over left degrees lo..d-1.
 
-    Column alpha sums C(alpha, beta) left[beta] right[alpha - beta], with left
-    columns in the concatenated left blocks lo, lo+1, ... and right columns in
+    Row alpha sums C(alpha, beta) left[beta] right[alpha - beta], with left
+    rows in the concatenated left blocks lo, lo+1, ... and right rows in
     the concatenated right blocks 1, 2, ....  With `square`, left and right are
     the same blocks (lo = 1) and the table sums half the square: each
     unordered pair once, and a pair of equal factors at half weight.
 
-    The pairs are laid out in slots: with the columns ranked by pair count,
+    The pairs are laid out in slots: with the rows ranked by pair count,
     most first, slot s holds the s-th pair of the first `widths[s]` ranked
-    columns, and `rank_of` takes the ranked columns back to block order.
+    rows, and `rank_of` takes the ranked rows back to block order.
     `weight` is the column (pairs, 1) of binomial weights, one float per pair.
     """
-    columns = []
+    rows = []
     for alpha in monomials(d):
         pairs = []
         for i in range(lo, d):
@@ -85,15 +95,16 @@ def _leibniz(d: int, lo: int, square: bool = False):
                     pairs.append((li, ri, w))
                 elif li == ri:
                     pairs.append((li, ri, w // 2))  # C(2k, k) is even
-        columns.append(pairs)
-    rank = sorted(range(len(columns)), key=lambda a: -len(columns[a]))
-    widths = [sum(len(columns[a]) > s for a in rank) for s in range(len(columns[rank[0]]))]
-    left, right, weight = zip(*(columns[a][s] for s, n in enumerate(widths) for a in rank[:n]))
+        rows.append(pairs)
+    rank = sorted(range(len(rows)), key=lambda a: -len(rows[a]))
+    widths = [sum(len(rows[a]) > s for a in rank) for s in range(len(rows[rank[0]]))]
+    left, right, weight = zip(*(rows[a][s] for s, n in enumerate(widths) for a in rank[:n]))
     weight = np.array(weight, float)[:, None]
     return np.array(left), np.array(right), weight, widths, np.argsort(rank)
 
 
-# points per pass of a Leibniz sum, so its (pairs x points) products stay small
+# points per pass of a Leibniz sum along the last axis, so its (pairs x points)
+# products stay small
 _PAIR_ROWS = 2048
 
 
@@ -102,33 +113,33 @@ def _pair_sum(left: np.ndarray, right: np.ndarray, d: int, lo: int,
     """Degree-d Leibniz sum of concatenated left blocks lo.. and right blocks 1..
 
     Products are formed pair-major, so every operation runs along the points,
-    and each column adds only its own pairs, in table order.
+    and each row adds only its own pairs, in table order.
     """
     li, ri, weight, widths, rank_of = _leibniz(d, lo, square)
-    out = np.empty((left.shape[0], rank_of.size))
-    for r in range(0, left.shape[0], _PAIR_ROWS):
-        rows = slice(r, r + _PAIR_ROWS)
-        p = left[rows].T[li]
-        p *= right[rows].T[ri]
+    n = left.shape[1]
+    out = np.empty((rank_of.size, n))
+    for r in range(0, n, _PAIR_ROWS):
+        span = slice(r, r + _PAIR_ROWS)
+        p = left[li, span]
+        p *= right[ri, span]
         p *= weight
         start = widths[0]
-        for n in widths[1:]:
-            p[:n] += p[start:start + n]
-            start += n
-        out[rows] = p[:widths[0]].T[:, rank_of]
+        for w in widths[1:]:
+            p[:w] += p[start:start + w]
+            start += w
+        out[:, span] = p[rank_of]
     return out
 
 
 def _joined(blocks: list) -> np.ndarray:
-    """Blocks side by side; one block is used as it is."""
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    """Blocks stacked row-wise; one block is used as it is."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _high_product(a: list, b: list, k: int) -> list:
     """Blocks 2..k of the product of the block lists a and b."""
     left, right = _joined(a[1:k]), _joined(b[1:k])
-    return [a[0][:, None] * b[d] + b[0][:, None] * a[d] + _pair_sum(left, right, d, 1)
-            for d in range(2, k + 1)]
+    return [a[0] * b[d] + b[0] * a[d] + _pair_sum(left, right, d, 1) for d in range(2, k + 1)]
 
 
 def _high_chain(c: list, fs, k: int) -> list:
@@ -146,11 +157,16 @@ def _high_chain(c: list, fs, k: int) -> list:
         powers.append([None] * m + [_pair_sum(left, t, d, m - 1) / m for d in range(m, k + 1)])
     out = []
     for d in range(2, k + 1):
-        acc = fs[1][:, None] * c[d]
+        acc = fs[1] * c[d]
         for m in range(2, d + 1):
-            acc = acc + fs[m][:, None] * powers[m][d]
+            acc = acc + fs[m] * powers[m][d]
         out.append(acc)
     return out
+
+
+def _times(v: np.ndarray, blocks) -> list:
+    """The derivative blocks times the per-point values v; None stays None."""
+    return [None if b is None else v * b for b in blocks]
 
 
 class Jet:
@@ -167,22 +183,26 @@ class Jet:
     def constant(cls, c: float, n: int, order: int) -> "Jet":
         v = np.empty(n)
         v.fill(c)
-        blocks = [v]
-        for d in range(1, order + 1):
-            blocks.append(np.zeros((n, (d + 1) * (d + 2) // 2)))
-        return cls(blocks)
+        return cls([v] + [None] * order)
 
     @classmethod
     def coordinate(cls, pts: np.ndarray, axis: int, order: int) -> "Jet":
         n = pts.shape[0]
         blocks = [pts[:, axis].astype(float, copy=True)]
         for d in range(1, order + 1):
-            blocks.append(np.zeros((n, (d + 1) * (d + 2) // 2)))
+            blocks.append(np.zeros(((d + 1) * (d + 2) // 2, n)))
         if order >= 1:
-            blocks[1][:, axis] = 1.0
+            blocks[1][axis] = 1.0
         return cls(blocks)
 
     # -- accessors ----------------------------------------------------------
+
+    def block(self, d: int) -> np.ndarray:
+        """Block d as an array, zeros for a constant's derivative block."""
+        b = self.c[d]
+        if b is None:
+            b = np.zeros(((d + 1) * (d + 2) // 2, self.c[0].shape[0]))
+        return b
 
     @property
     def value(self) -> np.ndarray:
@@ -190,11 +210,11 @@ class Jet:
 
     @property
     def grad(self) -> np.ndarray | None:  # (N, 3), None at order 0
-        return self.c[1] if len(self.c) > 1 else None
+        return self.block(1).T if len(self.c) > 1 else None
 
     @property
     def hess(self) -> np.ndarray | None:  # packed (N, 6), None below order 2
-        return self.c[2] if len(self.c) > 2 else None
+        return self.block(2).T if len(self.c) > 2 else None
 
     @property
     def order(self) -> int:
@@ -203,17 +223,18 @@ class Jet:
 
     def hessian(self) -> np.ndarray:
         """Full symmetric Hessian matrices, shape (N, 3, 3)."""
-        return self.c[2][:, _FULL]
+        if len(self.c) < 3:
+            raise ValueError("a jet below order 2 has no Hessian")
+        return self.block(2)[_FULL].transpose(2, 0, 1)
 
     def partial(self, i: int) -> "Jet":
         """Jet of the i-th first partial derivative, one order lower."""
         c = self.c
         if len(c) < 2:
             raise ValueError("an order-0 jet has no partial derivatives")
-        blocks = [c[1][:, i].copy()]
-        for d in range(1, len(c) - 1):
-            blocks.append(c[d + 1][:, _shift(d, i)])
-        return Jet(blocks)
+        if c[1] is None:
+            return Jet([np.zeros(c[0].shape[0]), *c[2:]])
+        return Jet([c[1][i], *(c[d + 1][_shift(d, i)] for d in range(1, len(c) - 1))])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -221,15 +242,24 @@ class Jet:
         a, b = self.c, other.c
         if len(a) == 1 or len(b) == 1:  # values only, the common case
             return Jet([a[0] + b[0]])
+        if b[1] is None:
+            return Jet([a[0] + b[0], *a[1:len(b)]])
+        if a[1] is None:
+            return Jet([a[0] + b[0], *b[1:len(a)]])
         return Jet(list(map(operator.add, a, b)))
 
     def __neg__(self):
-        return Jet(list(map(operator.neg, self.c)))
+        c = self.c
+        return Jet([-c[0], *(None if b is None else -b for b in c[1:])])
 
     def __sub__(self, other: "Jet") -> "Jet":
         a, b = self.c, other.c
         if len(a) == 1 or len(b) == 1:
             return Jet([a[0] - b[0]])
+        if b[1] is None:
+            return Jet([a[0] - b[0], *a[1:len(b)]])
+        if a[1] is None:
+            return Jet([a[0] - b[0], *(-x for x in b[1:len(a)])])
         return Jet(list(map(operator.sub, a, b)))
 
     def __mul__(self, other: "Jet") -> "Jet":
@@ -237,26 +267,33 @@ class Jet:
         k = min(len(a), len(b)) - 1
         if k == 0:
             return Jet([a[0] * b[0]])
-        out = [a[0] * b[0], a[0][:, None] * b[1] + b[0][:, None] * a[1]]
+        if a[1] is None:
+            return Jet([a[0] * b[0], *_times(a[0], b[1:k + 1])])
+        if b[1] is None:
+            return Jet([a[0] * b[0], *_times(b[0], a[1:k + 1])])
+        out = [a[0] * b[0], a[0] * b[1] + b[0] * a[1]]
         return Jet(out + _high_product(a, b, k) if k >= 2 else out)
 
     def __truediv__(self, other: "Jet") -> "Jet":
         return self * other.reciprocal()
 
     def reciprocal(self) -> "Jet":
-        v = self.c[0]
+        c = self.c
+        v = c[0]
         fs = [1.0 / v]
-        for k in range(1, len(self.c)):
-            fs.append((-1) ** k * factorial(k) / v ** (k + 1))
+        if c[-1] is not None:  # a constant reads f(v) alone
+            for k in range(1, len(c)):
+                fs.append((-1) ** k * factorial(k) / v ** (k + 1))
         return self.chain(fs)
 
     def chain(self, fs) -> "Jet":
-        """Compose with a univariate f given f(v), f'(v), f''(v), ... (order + 1 read)."""
+        """Compose with a univariate f given f(v), f'(v), f''(v), ... (order + 1 read;
+        f(v) alone for a constant, whose composition is a constant)."""
         c = self.c
         k = len(c) - 1
-        if k == 0:
-            return Jet([fs[0]])
-        out = [fs[0], fs[1][:, None] * c[1]]
+        if k == 0 or c[1] is None:
+            return Jet([fs[0], *c[1:]])
+        out = [fs[0], fs[1] * c[1]]
         return Jet(out + _high_chain(c, fs, k) if k >= 2 else out)
 
 
@@ -326,7 +363,7 @@ def jpow(j: Jet, e: float) -> Jet:
 
 def _scaled(j: Jet, v: np.ndarray) -> Jet:
     """j times the per-point constant v, block by block."""
-    return Jet([v * j.c[0], *(v[:, None] * b for b in j.c[1:])])
+    return Jet([v * j.c[0], *_times(v, j.c[1:])])
 
 
 def jatan2(jy: Jet, jx: Jet) -> Jet:

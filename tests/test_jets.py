@@ -8,7 +8,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from mhstools import beltrami, jets
@@ -107,6 +107,13 @@ def test_chain_against_finite_differences(rng):
         np.testing.assert_allclose(j.grad[:, i], fd, rtol=1e-6, atol=1e-8)
 
 
+def test_hessian_needs_a_second_order_jet():
+    pts = np.array([[0.4, -0.2, 0.9]])
+    for order in (0, 1):
+        with pytest.raises(ValueError):
+            Jet.coordinate(pts, 0, order).hessian()
+
+
 def test_partial_extracts_derivative_jet():
     pts = np.array([[0.4, -0.2, 0.9]])
     jx, jy, _ = _seed(pts)
@@ -114,6 +121,51 @@ def test_partial_extracts_derivative_jet():
     fx = f.partial(0)  # 2xy
     assert fx.value[0] == pytest.approx(2 * 0.4 * -0.2)
     np.testing.assert_allclose(fx.grad[0], [2 * -0.2, 2 * 0.4, 0.0])
+
+
+def _dense(j):
+    """The jet with its None blocks materialised as zeros."""
+    return Jet([j.block(d) for d in range(j.order + 1)])
+
+
+def test_constant_jets_carry_values_only():
+    c = Jet.constant(2.5, 4, 3)
+    assert c.order == 3 and c.c[1:] == [None, None, None]
+    np.testing.assert_array_equal(c.value, 2.5)
+    p = c.partial(1)
+    assert p.order == 2 and p.c[1:] == [None, None]
+    np.testing.assert_array_equal(p.value, 0.0)
+    assert Jet.constant(2.5, 4, 0).c[1:] == []
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_constant_operands_match_dense_zero_blocks(op):
+    # a None block is an exact zero: the result equals the one with dense zero
+    # blocks bit for bit, up to the sign of zero (adding +0.0 maps -0.0 to +0.0)
+    pts = np.random.default_rng(8).uniform(0.5, 1.5, size=(7, 3))
+    for order in range(4):
+        jx, jy, jz = (Jet.coordinate(pts, i, order) for i in range(3))
+        f = jexp(jx) * jsin(jy) / (jz + jx * jy)
+        for c in (Jet.constant(-1.7, 7, order), Jet.constant(0.3, 7, order + 1)):
+            for a, b in ((c, f), (f, c), (c, c)):
+                sparse, dense = op(a, b), op(_dense(a), _dense(b))
+                assert sparse.order == dense.order
+                for d in range(dense.order + 1):
+                    assert _bits_equal(sparse.block(d) + 0.0, dense.c[d] + 0.0)
+                if a is b:
+                    assert sparse.c[1:] == [None] * sparse.order
+
+
+def test_accessors_keep_their_shapes():
+    pts = np.random.default_rng(9).uniform(-1, 1, size=(5, 3))
+    for j in (Jet.constant(1.5, 5, 2), jsin(Jet.coordinate(pts, 1, 2)) * Jet.coordinate(pts, 0, 2)):
+        assert j.value.shape == (5,)
+        assert j.grad.shape == (5, 3)
+        assert j.hess.shape == (5, 6)
+        assert j.hessian().shape == (5, 3, 3)
+    np.testing.assert_array_equal(j.grad[:, 1], np.cos(pts[:, 1]) * pts[:, 0])
+    np.testing.assert_array_equal(j.hessian()[:, 0, 1], j.hessian()[:, 1, 0])
+    assert Jet.constant(1.5, 5, 0).grad is None and Jet.constant(1.5, 5, 1).hess is None
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
@@ -209,6 +261,11 @@ def _bits_equal(a, b):
     return bool((nan == np.isnan(b)).all()) and a[~nan].tobytes() == b[~nan].tobytes()
 
 
+def _blocks_equal(a, b):
+    # a constant's derivative blocks are None, and None equals only None
+    return a is b is None or (a is not None and b is not None and _bits_equal(a, b))
+
+
 def _components(f, order, pts=_PTS):
     """Jets of a scalar or vector tree as a tuple, and the evaluation record."""
     ctx = F.EvalContext(pts.shape[0])
@@ -231,7 +288,7 @@ def test_order_respecting_jets(f):
         for high, _ in evals[k + 1:]:
             for jl, jh in zip(low, high):
                 for d in range(k + 1):
-                    assert _bits_equal(jl.c[d], jh.c[d])
+                    assert _blocks_equal(jl.c[d], jh.c[d])
     c0, ctx0 = evals[0]
     expect = np.stack([j.value for j in c0], axis=1)
     expect[ctx0.invalid] = np.nan
@@ -241,9 +298,9 @@ def test_order_respecting_jets(f):
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_jets_do_not_depend_on_row_position(order):
-    # Leibniz sums run over fixed-size passes of rows; a point's jet must not
+    # Leibniz sums run over fixed-size passes of points; a point's jet must not
     # depend on which pass it falls in, so slices across pass boundaries
-    # reproduce the rows of the whole batch bit for bit
+    # reproduce the points of the whole batch bit for bit
     u = F.sin(F.x + 0.3 * F.y) * F.exp(0.5 * F.z) / (2.0 + F.x)
     v = F.atan2(F.y + 2.0, F.x + 2.0) * F.log(2.0 + F.y * F.z)
     w = F.vector(u, v, u * v)
@@ -255,7 +312,7 @@ def test_jets_do_not_depend_on_row_position(order):
             part, _ = _components(f, order, pts[rows])
             for jw, jp in zip(whole, part):
                 for d in range(order + 1):
-                    assert _bits_equal(jw.c[d][rows], jp.c[d])
+                    assert _bits_equal(jw.c[d][..., rows], jp.c[d])
 
 
 _RIGID = KillingParams((0.3, -0.2, 0.5), (0.1, 0.4, -0.3))
@@ -297,23 +354,23 @@ def test_rigid_lie_derivative_matches_general_lie_node(name):
 
 
 def _leibniz_oracle(left: dict, right: dict, d: int, lo: int) -> np.ndarray:
-    # column alpha of block d: the sum over multi-indices beta <= alpha with
+    # row alpha of block d: the sum over multi-indices beta <= alpha with
     # lo <= |beta| < d of C(alpha, beta) left[beta] right[alpha - beta]
     def exps(m):
         return tuple(m.count(a) for a in range(3))
 
-    cols = {k: {exps(m): c for c, m in enumerate(monomials(k))} for k in range(1, d)}
+    rows = {k: {exps(m): r for r, m in enumerate(monomials(k))} for k in range(1, d)}
     out = []
     for alpha in map(exps, monomials(d)):
-        acc = np.zeros(left[lo].shape[0])
+        acc = np.zeros(left[lo].shape[1])
         for beta in itertools.product(*(range(n + 1) for n in alpha)):
             i = sum(beta)
             if lo <= i < d:
                 gamma = tuple(n - b for n, b in zip(alpha, beta))
                 w = math.prod(math.comb(n, b) for n, b in zip(alpha, beta))
-                acc = acc + w * left[i][:, cols[i][beta]] * right[d - i][:, cols[d - i][gamma]]
+                acc = acc + w * left[i][rows[i][beta]] * right[d - i][rows[d - i][gamma]]
         out.append(acc)
-    return np.stack(out, axis=1)
+    return np.stack(out)
 
 
 _TABLES = [(d, lo, False) for d in range(2, 8) for lo in range(1, d)]
@@ -323,18 +380,18 @@ _TABLES += [(d, 1, True) for d in range(2, 8)]
 @pytest.mark.parametrize("d, lo, square", _TABLES)
 def test_pair_sum_matches_direct_leibniz_sum(d, lo, square):
     # every table the jets use, against the multi-index sum; small integers
-    # make both sides exact, and 2100 rows take two passes of 2048
+    # make both sides exact, and 2100 points take two passes of 2048
     rng = np.random.default_rng(10 * d + lo + 100 * square)
 
     def blocks(n, first):
-        return {i: rng.integers(-3, 4, (n, len(monomials(i)))).astype(float)
+        return {i: rng.integers(-3, 4, (n, len(monomials(i)))).astype(float).T
                 for i in range(first, d)}
 
     for n in (1, 8, 2100):
         left = blocks(n, lo)
         right = left if square else blocks(n, 1)
-        got = _pair_sum(np.hstack([left[i] for i in range(lo, d)]),
-                        np.hstack([right[i] for i in range(1, d - lo + 1)]), d, lo, square)
+        got = _pair_sum(np.vstack([left[i] for i in range(lo, d)]),
+                        np.vstack([right[i] for i in range(1, d - lo + 1)]), d, lo, square)
         want = _leibniz_oracle(left, right, d, lo)
         np.testing.assert_array_equal(got, want / 2 if square else want)
 
@@ -420,14 +477,25 @@ def _derivatives(expr, order):
     return [der[axes] for d in range(1, order + 1) for axes in monomials(d)]
 
 
+# derandomize seeds from the test's source text, so an edit to its body would
+# redraw the trees; this fixed seed keeps the 40 trees whose symbolic
+# derivatives take about 2 s (a tree nesting three derivative nodes over atan2
+# takes about 45 s alone)
+_ORACLE_SEED = int(
+    "1238604955116483394142243118655415363361455151665982231981518058971298859891246979894057"
+    "24621613494929381807069368"
+)
+
+
 @pytest.mark.skipif(sp is None, reason="sympy is not installed")
+@seed(_ORACLE_SEED)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_SMALL)
 def test_derivatives_through_fourth_order_match_sympy(f):
     import mpmath
 
     (j,), ctx = _components(f, 4, _ORACLE_PTS)
-    got = np.hstack(j.c[1:])
+    got = np.vstack([j.block(d) for d in range(1, 5)]).T
     reference = sp.lambdify(_XYZ, _derivatives(_sym(f), 4), "mpmath")
     for p, pt in enumerate(_ORACLE_PTS):
         if ctx.invalid[p]:
