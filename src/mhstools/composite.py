@@ -158,28 +158,14 @@ class CompositeReport(Record):
 def l2_monte_carlo(pf: PiecewiseField, n: int = 100_000, seed: int = 0):
     """Monte Carlo estimate of the squared-field integral over the ambient ball.
 
-    Uniform sampling of the ambient ball; returns (estimate, standard error).
+    Uniform sampling of the ambient ball (`domains.sample`'s "random"
+    generator); returns (estimate, standard error).
     """
-    if n <= 0:
-        raise ValueError("need a positive sample count")
-    rng = np.random.default_rng(seed)
-    R = pf.ambient.r_outer
-    got = 0
-    sq_sum = 0.0
-    sq_sumsq = 0.0
-    while got < n:
-        m = min(max(2 * (n - got), 4096), 4 * n)
-        cand = rng.uniform(-R, R, size=(m, 3))
-        cand = cand[np.linalg.norm(cand, axis=1) <= R]
-        take = cand[: n - got]
-        vals = pf.values(take)
-        sq = (vals**2).sum(axis=1)
-        sq_sum += float(np.nansum(sq))
-        sq_sumsq += float(np.nansum(sq**2))
-        got += take.shape[0]
+    pts = sample(pf.ambient, n, generator="random", seed=seed).points
+    sq = (pf.values(pts) ** 2).sum(axis=1)
     vol = pf.ambient.volume()
-    mean = sq_sum / n
-    var = max(sq_sumsq / n - mean**2, 0.0)
+    mean = float(np.nansum(sq)) / n
+    var = max(float(np.nansum(sq**2)) / n - mean**2, 0.0)
     return vol * mean, vol * np.sqrt(var / n)
 
 

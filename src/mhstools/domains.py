@@ -95,10 +95,13 @@ class Domain(Record, frozen=True):
         if self.shape == "box":
             lo, hi = np.asarray(self.lo), np.asarray(self.hi)
             ok = np.all((pts >= lo) & (pts <= hi), axis=1)
-        elif self.shape == "ball":
-            ok = np.linalg.norm(pts - np.asarray(self.center), axis=1) <= self.r_outer
-        elif self.shape == "spherical_shell":
-            d = np.linalg.norm(pts - np.asarray(self.center), axis=1)
+        elif self.shape in ("ball", "spherical_shell"):
+            # np.linalg.norm(pts - center, axis=1) with the squares taken in place:
+            # norm's own would be a second (N, 3) temporary, enough to set the peak
+            # memory of a 1e5-point Monte Carlo draw
+            d = pts - np.asarray(self.center)
+            np.multiply(d, d, out=d)
+            d = np.sqrt(np.add.reduce(d, axis=1))
             ok = (d >= self.r_inner) & (d <= self.r_outer)
         else:
             r = np.hypot(pts[:, 0], pts[:, 1])

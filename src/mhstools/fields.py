@@ -44,25 +44,25 @@ class EvalContext:
 
     `memo`, when set, is a dict shared by the evaluations of one report, scan
     or orbit: each vector node keeps its component jets there, one entry per
-    (node, points) at the highest order asked (see `VectorField.jets`).
-    `flags` lists every (node, mask, spare) raised, spare = order - lowest for a
-    mask raised at every order from `lowest` on, so a reuse can raise it again.
+    (node, points) at the highest order asked, and only from a walk that
+    flagged nothing (see `VectorField.jets`).  `raised` counts the flags
+    raised, so a walk can tell whether it flagged.
     """
 
-    __slots__ = ("invalid", "errors", "flags", "memo")
+    __slots__ = ("invalid", "errors", "raised", "memo")
 
     def __init__(self, n: int):
         self.invalid = np.zeros(n, dtype=bool)
         self.errors: dict[str, int] = {}
-        self.flags: list = []
+        self.raised = 0
         self.memo: dict | None = None
 
-    def flag(self, node, mask: np.ndarray, order: int, lowest: int = 0) -> None:
+    def flag(self, node, mask: np.ndarray) -> None:
         if mask.any():
             self.invalid |= mask
             key = node.render()
             self.errors[key] = self.errors.get(key, 0) + int(mask.sum())
-            self.flags.append((node, mask, order - lowest))
+            self.raised += 1
 
 
 def as_points(p) -> np.ndarray:
@@ -230,9 +230,9 @@ class Pow(ScalarField):
         neg, frac = e < 0, e != int(e)
         if neg or frac:
             # a fractional power fails below 0; at 0 blocks of degree above e are infinite
-            ctx.flag(self, (j.value < 0.0) & frac, order)
+            ctx.flag(self, (j.value < 0.0) & frac)
             if order > e:
-                ctx.flag(self, j.value == 0.0, order, max(0, int(np.floor(e)) + 1))
+                ctx.flag(self, j.value == 0.0)
         return jpow(j, e)
 
     def render(self):
@@ -248,7 +248,7 @@ def _binary(name: str, fn, symbol: str, precedence: int, domain=None):
             ja = self.a.jet(pts, order, ctx)
             jb = self.b.jet(pts, order, ctx)
             if domain is not None:
-                ctx.flag(self, domain(jb.value), order)
+                ctx.flag(self, domain(jb.value))
             return fn(ja, jb)
 
         def render(self):
@@ -275,9 +275,9 @@ def _unary(name: str, fn, domain=None, pole=False):
         def jet(self, pts, order, ctx):
             j = self.a.jet(pts, order, ctx)
             if domain is not None:
-                ctx.flag(self, domain(j.value), order)
+                ctx.flag(self, domain(j.value))
             if pole and order >= 1:
-                ctx.flag(self, j.value == 0.0, order, 1)
+                ctx.flag(self, j.value == 0.0)
             return fn(j)
 
         def render(self):
@@ -302,7 +302,7 @@ class Atan2(ScalarField):
     def jet(self, pts, order, ctx):
         jy = self.ynode.jet(pts, order, ctx)
         jx = self.xnode.jet(pts, order, ctx)
-        ctx.flag(self, (jy.value == 0.0) & (jx.value == 0.0), order)
+        ctx.flag(self, (jy.value == 0.0) & (jx.value == 0.0))
         return jatan2(jy, jx)
 
     def render(self):
@@ -439,12 +439,15 @@ class VectorField(Field):
         Derivative blocks up to `order` (0: values, 1: +gradients,
         2: +Hessians, ...) are computed, nothing above it.  Under a memo
         (`ctx.memo`) each (node, points) pair keeps the jets of the highest
-        order asked so far: a request at that order or below is answered from
-        them, truncated (block d is the same at every order, so a truncated
-        jet is bit-identical to a fresh one), and a higher request recomputes
-        and replaces them.  The blocks are shared, so no caller may write into
-        them; each reuse raises the subtree's flags that a walk at this order
-        raises, so invalid masks and error counts are those of a fresh walk.
+        order asked so far, if the walk that computed them flagged nothing: a
+        request at that order or below is answered from them, truncated
+        (block d is the same at every order, so a truncated jet is
+        bit-identical to a fresh one), and a higher request recomputes and
+        replaces them.  A flag raised at some order is raised at every higher
+        one, so a clean entry has no flag to raise again at a lower order; a
+        walk that flagged is not kept, and each request for it walks afresh
+        and raises its own flags.  The blocks are shared, so no caller may
+        write into them.
         """
         memo = ctx.memo
         if memo is None:
@@ -452,15 +455,13 @@ class VectorField(Field):
         key = (id(self), id(pts))
         hit = memo.get(key)
         if hit is None or hit[2] < order:
-            start = len(ctx.flags)
+            raised = ctx.raised
             out = self._jets(pts, order, ctx)
-            # the entry holds the node and the points, so neither id is reused
-            memo[key] = (self, pts, order, out, ctx.flags[start:])
+            if ctx.raised == raised:
+                # the entry holds the node and the points, so neither id is reused
+                memo[key] = (self, pts, order, out)
             return out
-        _, _, have, out, flags = hit
-        for node, mask, spare in flags:
-            if spare >= have - order:
-                ctx.flag(node, mask, spare - (have - order))
+        _, _, have, out = hit
         if have == order:
             return out
         return tuple(Jet(j.c[:order + 1]) for j in out)

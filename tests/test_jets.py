@@ -275,6 +275,15 @@ def _components(f, order, pts=_PTS):
         return tuple(f.jets(pts, order=order, ctx=ctx)), ctx
 
 
+# the seed that derandomize hashed from this test's source before it checked
+# flags; pinned, so an edit to the body keeps the same 100 trees
+_ORDER_SEED = int(
+    "2221391568685102108608623230467408893172562386653221364750407023316803590121512125571639"
+    "6237346853439819740721193549"
+)
+
+
+@seed(_ORDER_SEED)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.one_of(_SCALARS, _SCALARS, _VECTORS))  # two scalar trees per vector tree
 def test_order_respecting_jets(f):
@@ -282,9 +291,15 @@ def test_order_respecting_jets(f):
     # order-K jet are bit-identical to an order-k jet, and an order-k jet
     # carries nothing above order k
     evals = [_components(f, order) for order in range(5)]
-    for k, (low, _) in enumerate(evals):
+    for k, (low, ctx) in enumerate(evals):
         for j in low:
             assert j.order == k and len(j.c) == k + 1
+        # a flag raised at order k is raised at every higher order, so a walk
+        # that flagged nothing at order K flags nothing below it
+        if k < 4:
+            up = evals[k + 1][1]
+            assert not (ctx.invalid & ~up.invalid).any()
+            assert all(up.errors.get(node, 0) >= n for node, n in ctx.errors.items())
         for high, _ in evals[k + 1:]:
             for jl, jh in zip(low, high):
                 for d in range(k + 1):

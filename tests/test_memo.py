@@ -13,6 +13,8 @@ from mhstools.lieops import commutator_defect, lie_generate
 from mhstools.symmetry import KillingParams, killing_scan
 
 OFFSET_BOX = Domain.box((-1.0, 0.5, 0.5), (1.0, 1.5, 1.5))
+# w4_2 fails on about a quarter of this box: 252 of its first 1000 Halton points
+PARTLY_INVALID_BOX = Domain.box((-1.0, -0.5, 0.5), (1.0, 1.5, 1.5))
 
 
 def _fresh(f, pts, memo=None):
@@ -31,12 +33,16 @@ def _subject(name):
     if name == "harmonic_pair":
         rec = from_harmonic_pair(HarmonicPair(exp(x) * sin(y), -exp(x) * cos(y)), exp(z))
         return rec.residual_report, rec.field, rec.domain
+    if name == "w4_2_partly_invalid":
+        sol = clebsch.catalog("w4_2")
+        return sol.residual_report, sol.w, PARTLY_INVALID_BOX
     e = registry.get(name)
     obj = e.record if e.record is not None else e.solution
     return obj.residual_report, e.field, e.domain
 
 
-@pytest.mark.parametrize("name", registry.names() + ["family", "harmonic_pair"])
+@pytest.mark.parametrize("name", registry.names() + ["family", "harmonic_pair",
+                                                     "w4_2_partly_invalid"])
 def test_memo_changes_no_number(name, monkeypatch):
     report, field, domain = _subject(name)
     ss = sample(domain, 500)
@@ -53,9 +59,9 @@ def test_memo_changes_no_number(name, monkeypatch):
 
 def test_shared_node_keeps_error_counts(monkeypatch):
     # log(x) fails on rows 1, 2 and 4; every channel reaches the one vector node,
-    # "doubled" twice at order 0, "curl" and "div" at order 1.  Order 0 first
-    # makes the order-1 request replace the entry; order 1 first serves every
-    # order-0 request by truncation.
+    # "doubled" twice at order 0, "curl" and "div" at order 1.  A walk that
+    # flagged is never kept, so in either channel order every request for the
+    # log(x) node is a fresh walk that raises its own flags.
     v = vector(log(x), y, 1.0)
     pts = np.array([[1.0, 0.5, 0.0], [-1.0, 0.2, 0.1], [0.0, 0.3, 0.2],
                     [2.0, -0.4, 0.3], [-0.5, 0.1, 0.4], [0.3, 0.9, 0.5]])
@@ -85,12 +91,26 @@ def test_truncated_hit_keeps_order_dependent_flags(field):
     for order in (2, 1, 0):
         fresh, shared = F.EvalContext(len(pts)), F.EvalContext(len(pts))
         shared.memo = memo
-        field.jets(pts, order, fresh)
-        field.jets(pts, order, shared)
+        with np.errstate(all="ignore"):
+            field.jets(pts, order, fresh)
+            field.jets(pts, order, shared)
         assert np.array_equal(shared.invalid, fresh.invalid)
         assert shared.errors == fresh.errors
         fresh_errors.append(fresh.errors)
     assert fresh_errors[0] != fresh_errors[2]
+
+
+def test_flagged_walk_is_not_kept():
+    # log(x) fails at x <= 0: the memo keeps the clean operand, and neither the
+    # flagged operand nor the sum over it, so a second walk flags afresh
+    bad, good = vector(log(x), y, 1.0), vector(y, z, 1.0)
+    pts = np.array([[0.0, 0.5, 0.2], [-1.0, 0.2, 0.1], [-0.5, 0.9, 0.5]])
+    memo = {}
+    for _ in range(2):
+        _, ctx = F.evaluate(bad + good, pts, memo)
+        assert ctx.errors == {"log(x)": 3}
+        kept = [entry[0] for entry in memo.values()]
+        assert len(kept) == 1 and kept[0] is good
 
 
 def _subclasses(cls):
@@ -123,6 +143,17 @@ def test_report_evaluation_budget(node_evaluations):
     node_evaluations.clear()  # building the entry runs a report too
     sol.residual_report(ss)
     assert len(node_evaluations) <= 130  # 275 without the memo
+
+
+def test_partly_invalid_report_evaluation_budget(node_evaluations):
+    sol = clebsch.catalog("w4_2")
+    ss = sample(PARTLY_INVALID_BOX, 1000)
+    node_evaluations.clear()
+    rep = sol.residual_report(ss)
+    assert rep.checks["force_balance"].n_errors == 252
+    # flagged walks are not kept and walk afresh on every request, yet no
+    # more than without the memo: 201 evaluations, 259 without the memo
+    assert len(node_evaluations) <= 259
 
 
 def test_scan_evaluation_budget(node_evaluations):
