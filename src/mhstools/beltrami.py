@@ -9,6 +9,8 @@ coefficients and natural domains are pinned here for reproducibility.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import fields as F
@@ -276,10 +278,13 @@ _BUILDERS = {
 CATALOG_NAMES = tuple(_BUILDERS)
 
 
-def catalog(name: str) -> BeltramiRecord:
-    """Return a named catalog entry (field, coefficient, natural domain)."""
-    if name not in _BUILDERS:
-        raise ValueError(
-            f"unknown catalog entry {name!r}; choose from {', '.join(CATALOG_NAMES)}"
-        )
+@functools.cache
+def _built(name: str) -> BeltramiRecord:
     return _BUILDERS[name]()
+
+
+def catalog(name: str) -> BeltramiRecord:
+    """Return a named entry (field, coefficient, natural domain), built once per process."""
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown catalog entry {name!r}; choose from {', '.join(CATALOG_NAMES)}")
+    return _built(name)

@@ -10,6 +10,8 @@ log-Clebsch potential (clebsch_psi), never a curvilinear coordinate.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import fields as F
@@ -170,10 +172,13 @@ _BUILDERS = {"w4_1": _w4_1, "w4_2": _w4_2, "w4_3": _w4_3, "w4_4": _w4_4}
 CATALOG_NAMES = tuple(_BUILDERS)
 
 
-def catalog(name: str) -> ClebschSolution:
-    """Return a named finite-pressure catalog entry."""
-    if name not in _BUILDERS:
-        raise ValueError(
-            f"unknown catalog entry {name!r}; choose from {', '.join(CATALOG_NAMES)}"
-        )
+@functools.cache
+def _built(name: str) -> ClebschSolution:
     return _BUILDERS[name]()
+
+
+def catalog(name: str) -> ClebschSolution:
+    """Return a named finite-pressure catalog entry, built and checked once per process."""
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown catalog entry {name!r}; choose from {', '.join(CATALOG_NAMES)}")
+    return _built(name)

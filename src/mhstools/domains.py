@@ -150,6 +150,13 @@ class SampleSet(Record, frozen=True):
     def __post_init__(self):
         self.points.setflags(write=False)
 
+    def __eq__(self, other):  # the points bit for bit (dtype, shape, bytes), the rest field-wise
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.points, other.points
+        return ((a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                and self._values()[1:] == other._values()[1:])
+
     @property
     def count(self) -> int:
         return self.points.shape[0]

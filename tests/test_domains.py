@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mhstools
-from mhstools.domains import Domain, _halton, fibonacci_sphere, sample
+from mhstools.domains import Domain, SampleSet, _halton, fibonacci_sphere, sample
 
 
 class TestDomains:
@@ -123,6 +123,46 @@ class TestSampling:
         ss = sample(Domain.ball((0, 0, 0), 1.0), 10)
         with pytest.raises(ValueError):
             ss.points[0, 0] = 99.0
+
+    @pytest.mark.parametrize("generator", ["halton", "random"])
+    def test_separate_equal_draws_compare_equal(self, generator):
+        d = Domain.ball((0, 0, 0), 1.0)
+        a = sample(d, 200, generator=generator, seed=7)
+        b = sample(d, 200, generator=generator, seed=7)
+        assert a.points is not b.points
+        assert a == b and not a != b
+        assert a != sample(d, 200, generator=generator, seed=8)
+
+    def test_sets_differing_in_one_field_compare_unequal(self):
+        d = Domain.box((-1, -1, -1), (1, 1, 1))
+        ss = sample(d, 20, generator="random", seed=3)
+
+        def with_points(pts):
+            return SampleSet(points=pts, generator=ss.generator, seed=ss.seed, domain=d)
+
+        moved = ss.points.copy()
+        moved[5, 1] = np.nextafter(moved[5, 1], 2.0)
+        signed = np.zeros((2, 3))
+        signed[0, 0] = -0.0
+        others = [
+            with_points(moved),
+            with_points(ss.points[:19].copy()),
+            with_points(ss.points.reshape(60, 1).copy()),
+            with_points(ss.points.astype(np.float32)),
+            ss.replace(generator="halton"),
+            ss.replace(seed=4),
+            ss.replace(domain=Domain.box((-1, -1, -1), (1, 1, 2))),
+        ]
+        assert ss == with_points(ss.points.copy())
+        for other in others:
+            assert ss != other and other != ss
+        # bit for bit: -0.0 and 0.0 differ
+        assert with_points(signed) != with_points(np.zeros((2, 3)))
+        assert ss != "ss" and ss != None  # noqa: E711
+
+    def test_sample_set_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(sample(Domain.ball((0, 0, 0), 1.0), 10))
 
 
 def test_halton_matches_scipy_bit_for_bit():

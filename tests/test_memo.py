@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mhstools import beltrami, checks, clebsch, lieops, registry, symmetry
+from mhstools import beltrami, checks, clebsch, gradshafranov, lieops, registry, symmetry
 from mhstools import fields as F
 from mhstools.beltrami import HarmonicPair, from_harmonic_pair
 from mhstools.checks import residual_report
@@ -140,9 +140,21 @@ def node_evaluations(monkeypatch):
 def test_report_evaluation_budget(node_evaluations):
     sol = clebsch.catalog("w4_3")
     ss = sample(sol.domain, 200)
-    node_evaluations.clear()  # building the entry runs a report too
+    node_evaluations.clear()  # the entry's first build in a process runs a report too
     sol.residual_report(ss)
     assert len(node_evaluations) <= 130  # 275 without the memo
+
+
+@pytest.mark.parametrize("build", [
+    lambda: clebsch.catalog("w4_3"),
+    lambda: registry.get("w4_4"),
+    lambda: gradshafranov.example_decomposition("w4_1"),
+], ids=["clebsch.catalog", "registry.get", "example_decomposition"])
+def test_catalog_entry_is_checked_once(build, node_evaluations):
+    build()  # in a fresh interpreter this builds the entry and runs its report
+    node_evaluations.clear()
+    build()
+    assert node_evaluations == []
 
 
 def test_partly_invalid_report_evaluation_budget(node_evaluations):
