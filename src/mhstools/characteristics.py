@@ -41,7 +41,7 @@ class CharacteristicsProblem(Record, frozen=True):
 _SURFACE_TOL = 1e-13
 # local error per step relative to 1 + |p|, componentwise
 _STEP_TOL = 1e-14
-_FIRST_STEP = 0.05
+_FIRST_STEP = 0.5
 _MAX_STEPS = 10_000
 # the crossing is resolved to this much flow time; at a five-fold root the
 # bracket must shrink to it by bisection, about 50 halvings of a unit step
@@ -52,8 +52,8 @@ _EPS = np.finfo(float).eps
 # Dormand-Prince 8(5,3) (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
 # II.10): the rows of stages 2..12 and, last, the 8th-order weights, whose end
 # point is the first stage of the next step; then the 5th- and 3rd-order error
-# weights over stages 1..12
-_ROWS = (
+# weights over stages 1..12, as arrays so that no stage converts them
+_ROWS = tuple(map(np.array, (
     (0.05260015195876773,),
     (0.0197250569845379, 0.0591751709536137),
     (0.02958758547680685, 0.0, 0.08876275643042054),
@@ -75,13 +75,17 @@ _ROWS = (
     (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
      -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
      0.04471061572777259),
-)
-_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
-       1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
-       -0.022355307863886294)
-_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
-       -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
-       0.02265179219836082)
+)))
+_E5 = np.array((
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294,
+))
+_E3 = np.array((
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082,
+))
 
 # per-lane outcome codes; `_MESSAGES[code]` is the failure message
 _OK, _LEFT_DOMAIN, _EVAL_FAILED, _BUDGET, _DATA_FAILED = range(5)

@@ -96,7 +96,9 @@ def evaluate(f: "ScalarField | VectorField", pts: np.ndarray,
     ctx.memo = memo
     with np.errstate(all="ignore"):
         if isinstance(f, VectorField):
-            v = np.stack([c.value for c in f.jets(pts, order=0, ctx=ctx)], axis=1)
+            v = np.empty((pts.shape[0], 3))
+            for i, c in enumerate(f.jets(pts, order=0, ctx=ctx)):
+                v[:, i] = c.value
         else:
             v = f.jet(pts, order=0, ctx=ctx).value.copy()
     return v, ctx
@@ -125,7 +127,8 @@ class Field(Record, frozen=True):
     def values(self, pts) -> np.ndarray:
         """Values at (N, 3) points, shape (N,) or (N, 3); invalid samples are NaN."""
         v, ctx = evaluate(self, as_points(pts))
-        v[ctx.invalid] = np.nan
+        if ctx.raised:
+            v[ctx.invalid] = np.nan
         return v
 
     def __call__(self, p):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from mhstools.characteristics import (
     _E3,
@@ -14,7 +15,8 @@ from mhstools.characteristics import (
     solve_characteristics,
 )
 from mhstools.domains import Domain, sample
-from mhstools.fields import VectorField, log, vector, x, y, z
+from mhstools.fields import VectorField, log, sin, vector, x, y, z
+from mhstools.symmetry import S, T, alpha_from_characteristics
 
 # characteristics of  -y psi_y + psi_z = -1  (the constraint with phi = z)
 PROB_TEMPLATE = dict(
@@ -215,6 +217,20 @@ def test_five_fold_root_costs_one_crossing_search(monkeypatch):
     results = solve_characteristics(root_problem(5), targets)
     assert all(r.ok for r in results)
     assert calls[0] < 1500
+
+
+@pytest.mark.parametrize(
+    "name,p,g,bound",
+    [("abc_minimal", sin(S) + T, 0.0 * T, 50), ("cylindrical", 0.0 * S + 1.0, -sin(T), 40)],
+    ids=["abc_minimal", "cylindrical"],
+)
+def test_alpha_solves_cost_few_field_evaluations(monkeypatch, name, p, g, bound):
+    # these flows are shorter than one unit of flow time, so a first step of
+    # 0.5 traces them in 42 and 30 calls, where a first step of 0.05, grown
+    # by the controller about 2.3-fold per step, took 78 and 66
+    calls = count_vector_values(monkeypatch)
+    alpha_from_characteristics(name, p=p, g=g, n_targets=50)
+    assert calls[0] < bound
 
 
 def test_degenerate_crossing_is_exact():

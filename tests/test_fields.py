@@ -283,6 +283,47 @@ class TestErrorHandling:
         assert node in errors
 
 
+class TestOrderZeroEntry:
+    # one row with x < 0, where log(x) flags
+    PTS = np.array([[0.5, 1.0, 0.2], [1.5, -0.5, 0.3], [-0.5, 2.0, 0.1], [2.0, 0.5, -1.0]])
+    CASES = pytest.mark.parametrize(
+        "field,flagged",
+        [
+            (vector(0.0, -y, 1.0), []),
+            (Gradient(x * y + sin(z)), []),
+            (vector(log(x), y, 1.0), [2]),
+        ],
+        ids=["const-coord", "gradient", "flags-one-row"],
+    )
+
+    @CASES
+    def test_vector_evaluate_returns_a_fresh_array(self, field, flagged):
+        pts = self.PTS.copy()
+        memo = {}
+        v, _ = evaluate(field, pts, memo)
+        assert v.dtype == np.float64 and v.shape == (len(pts), 3)
+        assert v.flags.c_contiguous
+        assert not np.shares_memory(v, pts)
+        # a walk that flagged is not kept, so only a clean one leaves blocks
+        blocks = [b for *_, jets in memo.values() for j in jets for b in j.c if b is not None]
+        assert blocks or flagged
+        assert not any(np.shares_memory(v, b) for b in blocks)
+        before = v.copy()
+        v[:] = 7.0
+        again, _ = evaluate(field, pts, memo)
+        np.testing.assert_array_equal(again, before)
+
+    @CASES
+    def test_values_is_evaluate_with_nan_on_flagged_rows(self, field, flagged):
+        v, ctx = evaluate(field, self.PTS)
+        assert np.flatnonzero(ctx.invalid).tolist() == flagged
+        vals = field.values(self.PTS)
+        assert np.flatnonzero(np.isnan(vals).any(axis=1)).tolist() == flagged
+        assert np.isnan(vals[flagged]).all()
+        ok = ~ctx.invalid
+        assert vals[ok].tobytes() == v[ok].tobytes()
+
+
 class TestPowDomain:
     # rows: x = 0, x = -1
     PTS = np.array([[0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
